@@ -7,14 +7,13 @@ a = 2/3 operator.
 
 __version__ = "0.1.0"
 
-from .numerics import Bracket, Contour, find_root_complex, find_root_real, gamma_fn, gauss_legendre, integrate_ode_contour
+from .numerics import Bracket, Contour, gamma_fn, gauss_legendre, integrate_ode_contour
 from .actions import (
     PotentialQuadratic,
     action,
     action_with_phase,
     half_line_integral_split,
     segment_integral_closed,
-    sqrt_branch_track,
 )
 from .stokes import (
     build_stokes_graph,
@@ -22,7 +21,6 @@ from .stokes import (
     ray_crossing_report,
     ray_extremum,
     trace_stokes_curve,
-    turning_points,
 )
 from .threshold import (
     completeness_verdict,
@@ -61,8 +59,6 @@ __all__ = [
     "eigenfunction",
     "f_theta",
     "f_theta_routes",
-    "find_root_complex",
-    "find_root_real",
     "gamma_fn",
     "gauss_legendre",
     "half_line_integral_split",
@@ -76,9 +72,7 @@ __all__ = [
     "segment_integral_closed",
     "solve_theta0",
     "spectral_det",
-    "sqrt_branch_track",
     "t_asymptotic",
     "trace_stokes_curve",
-    "turning_points",
     "verify_threshold_bounds",
 ]

@@ -25,13 +25,11 @@ from .errors import PhaseTrackingError, TurningPointError
 from .numerics import Contour, _leggauss
 
 __all__ = [
-    "BranchTrackedValue",
     "PotentialQuadratic",
     "action",
     "action_with_phase",
     "half_line_integral_split",
     "segment_integral_closed",
-    "sqrt_branch_track",
 ]
 
 TURNING_POINT_CLEARANCE = 1e-8
@@ -90,15 +88,6 @@ class PotentialQuadratic:
         return 2.0 * tp - self.mu
 
 
-@dataclass(frozen=True)
-class BranchTrackedValue:
-    """sqrt(P) sample with the continuously tracked argument of P."""
-
-    point: complex
-    value: complex
-    sheet_phase: float
-
-
 # ---------------------------------------------------------------------------
 # phase tracking
 # ---------------------------------------------------------------------------
@@ -114,13 +103,13 @@ def _tp_distance_to_segment(tp: complex, a: complex, b: complex) -> float:
     return abs(tp - (a + t * d))
 
 
-def _check_clearance(pot: PotentialQuadratic, path: Contour, endpoints_ok: bool):
+def _check_clearance(pot: PotentialQuadratic, path: Contour):
     for a, b in path.segments():
         for tp in pot.turning_points():
             dist = _tp_distance_to_segment(tp, a, b)
             if dist >= TURNING_POINT_CLEARANCE:
                 continue
-            if endpoints_ok and (abs(tp - a) < 1e-15 or abs(tp - b) < 1e-15):
+            if abs(tp - a) < 1e-15 or abs(tp - b) < 1e-15:
                 # endpoint sitting exactly on the turning point: the segment
                 # may still not pass near the OTHER side of it
                 t_proj = ((tp - a) * (b - a).conjugate()).real / abs(b - a) ** 2
@@ -146,35 +135,6 @@ def _track_phase_between(pot, z0, phase0, z1, depth=0):
     zm = 0.5 * (z0 + z1)
     pm = _track_phase_between(pot, z0, phase0, zm, depth + 1)
     return _track_phase_between(pot, zm, pm, z1, depth + 1)
-
-
-def sqrt_branch_track(
-    pot: PotentialQuadratic, path: Contour, initial_arg: float
-) -> List[BranchTrackedValue]:
-    """Sample sqrt(P) along the path with a continuously tracked branch.
-
-    initial_arg fixes arg P at the first node; the value there is
-    sqrt(|P|) * exp(i * initial_arg / 2).  Adaptive subdivision keeps the
-    per-step phase jump below pi/2, so the branch cannot silently flip.
-    """
-    _check_clearance(pot, path, endpoints_ok=False)
-
-    def entry(z, phase):
-        val = math.sqrt(abs(pot(z))) * cmath.exp(0.5j * phase)
-        return BranchTrackedValue(z, val, phase)
-
-    out = [entry(path.nodes[0], float(initial_arg))]
-    for a, b in path.segments():
-        phase = out[-1].sheet_phase
-        z_prev = out[-1].point
-        # march in conservative sub-steps, then refine each hop as needed
-        n0 = 8
-        for j in range(1, n0 + 1):
-            z_next = a + (b - a) * (j / n0)
-            phase = _track_phase_between(pot, z_prev, phase, z_next)
-            out.append(entry(z_next, phase))
-            z_prev = z_next
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +201,7 @@ def action_with_phase(
     The final phase lets a caller continue the same branch on a subsequent
     leg (see the additivity property of the action).
     """
-    _check_clearance(pot, path, endpoints_ok=True)
+    _check_clearance(pot, path)
     total = 0.0 + 0.0j
     phase = float(initial_arg)
     for a, b in path.segments():

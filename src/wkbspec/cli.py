@@ -28,7 +28,7 @@ from .spectrum import (
     s_numbers,
     t_asymptotic,
 )
-from .stokes import build_stokes_graph, numerical_ray_extremum, ray_crossing_report, ray_extremum
+from .stokes import build_stokes_graph, classify_crossings, numerical_ray_extremum, ray_extremum
 from .svgplot import render_stokes_svg
 from .threshold import f_theta, f_theta_routes, solve_theta0, verify_threshold_bounds
 
@@ -209,41 +209,21 @@ def _cmd_verify(args, argv) -> int:
 
     gamma = _angle(args.gamma, args.degrees)
     n = args.per_regime
-    bad = 0
-    checked = 0
-    extremum_worst = 0.0
-    for i in range(n):
-        psi = (i + 0.5) * gamma / n
-        rep = ray_crossing_report(psi, gamma)
-        ok = rep.count_complex1 == 0 and rep.count_complex2 == 2
-        if ok:
-            lo_r, hi_r = rep.crossings_complex2
-            ok = lo_r < rep.extremum[0] < hi_r
-        bad += 0 if ok else 1
-        checked += 1
-    for i in range(n):
-        psi = gamma + (i + 0.5) * (2.0 * math.pi - 4.0 * gamma) / n
-        rep = ray_crossing_report(psi, gamma)
-        ok = rep.count_complex1 == 0 and rep.count_complex2 <= 1 and rep.extremum is None
-        bad += 0 if ok else 1
-        checked += 1
-    for i in range(n):
-        psi = (2.0 * math.pi - 3.0 * gamma) + (i + 0.5) * (3.0 * gamma) / n
-        rep = ray_crossing_report(psi, gamma)
-        ok = rep.count_complex1 == 1 and rep.count_complex2 <= 1 and rep.extremum is not None
-        bad += 0 if ok else 1
-        checked += 1
+    checks = classify_crossings(gamma, n)
+    bad = sum(1 for chk in checks if not chk.matches)
     failures += bad
     lines.append(
-        f"{'PASS' if bad == 0 else 'FAIL'} crossing_classification: {checked - bad}/{checked} "
+        f"{'PASS' if bad == 0 else 'FAIL'} crossing_classification: {len(checks) - bad}/{len(checks)} "
         f"psi points match (gamma={gamma:.12f})"
     )
 
+    extremum_worst = 0.0
     m = max(2, n // 8)
     for i in range(m):
         psi = (i + 0.5) * gamma / m
         tau0 = ray_extremum(gamma, psi)[0]
-        tnum = numerical_ray_extremum(psi, gamma)
+        # the scan window must hold the extremum, which moves out as gamma grows
+        tnum = numerical_ray_extremum(psi, gamma, tau_hi=max(3.0, 2.0 * tau0))
         extremum_worst = max(extremum_worst, abs(tau0 - tnum))
     ok = extremum_worst < 1e-8
     failures += 0 if ok else 1

@@ -1,5 +1,6 @@
 """Self-contained numerical kernels: Gamma, Gauss-Legendre quadrature,
-adaptive Runge-Kutta integration along complex contours, and root finding.
+adaptive Runge-Kutta integration along complex contours, and root finding
+(one bracketed refiner for real roots, one batched Muller for complex ones).
 
 All functions are pure; nothing here keeps module-level mutable state, so
 everything is safe to call concurrently.
@@ -11,7 +12,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -20,12 +21,11 @@ from .errors import BracketError, ConvergenceError, StepUnderflowError
 __all__ = [
     "Bracket",
     "Contour",
-    "RootResult",
-    "find_root_complex",
-    "find_root_real",
     "gamma_fn",
     "gauss_legendre",
     "integrate_ode_contour",
+    "muller_many",
+    "refine_brackets",
 ]
 
 
@@ -79,12 +79,6 @@ class Contour:
 
     def segments(self):
         return list(zip(self.nodes[:-1], self.nodes[1:]))
-
-
-class RootResult(NamedTuple):
-    root: complex
-    iterations: int
-    residual: float
 
 
 # ---------------------------------------------------------------------------
@@ -296,61 +290,6 @@ def integrate_ode_contour(
 # root finding
 # ---------------------------------------------------------------------------
 
-def find_root_real(f: Callable, b: Bracket, tol: float) -> float:
-    """Brent-style bracketed root of a real function.
-
-    Inverse-quadratic / secant steps with a bisection safeguard; the result
-    always lies inside the initial bracket and the final bracket width is
-    below tol.
-    """
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
-    xa, xb = b.lo, b.hi
-    fa, fb = f(xa), f(xb)
-    if fa == 0.0:
-        return xa
-    if fb == 0.0:
-        return xb
-    if fa * fb > 0.0:
-        raise BracketError(f"no sign change on [{xa}, {xb}]: f={fa:.3e},{fb:.3e}")
-    xc, fc = xa, fa
-    d = e = xb - xa
-    for _ in range(400):
-        if fb * fc > 0.0:
-            xc, fc = xa, fa
-            d = e = xb - xa
-        if abs(fc) < abs(fb):
-            xa, xb, xc = xb, xc, xb
-            fa, fb, fc = fb, fc, fb
-        m = 0.5 * (xc - xb)
-        if abs(m) <= 0.5 * tol or fb == 0.0:
-            return xb
-        if abs(e) < 0.25 * tol or abs(fa) <= abs(fb):
-            d = e = m
-        else:
-            s = fb / fa
-            if xa == xc:
-                p = 2.0 * m * s
-                q = 1.0 - s
-            else:
-                q = fa / fc
-                r = fb / fc
-                p = s * (2.0 * m * q * (q - r) - (xb - xa) * (r - 1.0))
-                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
-            if p > 0.0:
-                q = -q
-            p = abs(p)
-            if 2.0 * p < min(3.0 * m * q - abs(0.25 * tol * q), abs(e * q)):
-                e = d
-                d = p / q
-            else:
-                d = e = m
-        xa, fa = xb, fb
-        xb = xb + (d if abs(d) > 0.25 * tol else math.copysign(0.25 * tol, m))
-        fb = f(xb)
-    raise ConvergenceError("find_root_real did not converge")
-
-
 def refine_brackets(
     f_many: Callable,
     lo: np.ndarray,
@@ -359,13 +298,18 @@ def refine_brackets(
     fhi: np.ndarray,
     tol: float,
     max_rounds: int = 90,
-) -> np.ndarray:
-    """Vectorized bracketed refinement (same contract as find_root_real).
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Vectorized bracketed root refinement of a real function.
 
     f_many maps an array of abscissae to an array of values, one call per
-    round, so a batch of roots converges in lockstep.  Secant steps clipped
-    into the bracket, with a forced bisection every third round.
+    round, so a batch of roots converges in lockstep; k = 1 is the scalar
+    case.  Secant steps clipped into the bracket, with a bisection wherever
+    the secant stopped shrinking the bracket for two rounds.  Returns the
+    final (lo, hi) arrays: every bracket still holds a sign change, lies
+    inside its initial one and is at most tol wide.
     """
+    if tol <= 0.0:
+        raise ValueError("tol must be positive")
     lo = np.array(lo, dtype=float)
     hi = np.array(hi, dtype=float)
     flo = np.array(flo, dtype=float)
@@ -396,62 +340,77 @@ def refine_brackets(
         lo, hi, flo, fhi = new_lo, new_hi, new_flo, new_fhi
     if np.any((hi - lo) > tol):
         raise ConvergenceError("bracket refinement did not reach tolerance")
-    return 0.5 * (lo + hi)
+    return lo, hi
 
 
-def _muller_update(x0, x1, x2, f0, f1, f2):
-    """Next Muller iterate from three points; falls back to a secant step."""
-    h1 = x1 - x0
-    h2 = x2 - x1
-    if h1 == 0 or h2 == 0:
-        return None
-    d1 = (f1 - f0) / h1
-    d2 = (f2 - f1) / h2
-    dd = (d2 - d1) / (h2 + h1)
-    b = d2 + h2 * dd
-    disc = cmath.sqrt(b * b - 4.0 * f2 * dd)
-    den = b + disc if abs(b + disc) >= abs(b - disc) else b - disc
-    if den == 0:
-        if f2 == f1:
-            return None
-        return x2 - f2 * (x2 - x1) / (f2 - f1)  # secant fallback
-    return x2 - 2.0 * f2 / den
+def _muller_step(x: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """Next Muller iterate per column of the (3, k) point and value arrays.
+
+    Falls back to a secant step where the parabola degenerates, and to a
+    small relative nudge of the newest point where that is undefined too.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        h1 = x[1] - x[0]
+        h2 = x[2] - x[1]
+        d1 = (f[1] - f[0]) / h1
+        d2 = (f[2] - f[1]) / h2
+        dd = (d2 - d1) / (h2 + h1)
+        b = d2 + h2 * dd
+        disc = np.sqrt(b * b - 4.0 * f[2] * dd)
+        den = np.where(np.abs(b + disc) >= np.abs(b - disc), b + disc, b - disc)
+        secant = x[2] - f[2] * (x[2] - x[1]) / (f[2] - f[1])
+        nxt = np.where(den == 0, secant, x[2] - 2.0 * f[2] / den)
+    return np.where(np.isfinite(nxt), nxt, x[2] * (1.0 + 1e-6))
 
 
-def find_root_complex(
-    f: Callable, seed: complex, tol: float, max_iter: int = 60
-) -> RootResult:
-    """Muller's method with secant fallback for a complex root near seed.
+def muller_many(
+    f_many: Callable, seeds, tol: float, max_iter: int = 60
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Muller's method for a batch of complex roots, one per seed.
 
-    Convergence is declared when |f| drops below tol times the median |f|
-    over the initial probe triangle; raises ConvergenceError after max_iter
-    iterations.
+    f_many maps an array of points to an array of values; each round makes
+    one call with the unconverged lanes only, and the probe triangle around
+    every seed is evaluated in a single call.  k = 1 is the scalar case.
+    A lane converges when |f| < tol * median |f| over its probe triangle,
+    or when its step falls below 1e-12 |x| while that scaled residual is
+    below sqrt(tol): a function evaluated with relative noise can floor out
+    above tol * median while the iterate is resolved to machine precision.
+
+    Returns (roots, scaled_residuals); raises ConvergenceError when a lane
+    has not converged after max_iter rounds.
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
-    seed = complex(seed)
-    h = 1e-3 * max(1.0, abs(seed))
-    pts = [seed + h, seed + h * cmath.exp(2j * math.pi / 3), seed + h * cmath.exp(-2j * math.pi / 3)]
-    vals = [complex(f(z)) for z in pts]
-    scale = float(np.median(np.abs(vals)))
-    if scale == 0.0:
-        scale = max(abs(v) for v in vals) or 1.0
-    target = tol * scale
-    best = min(zip(pts, vals), key=lambda pv: abs(pv[1]))
-    if abs(best[1]) < target:
-        return RootResult(best[0], 0, abs(best[1]))
-    for it in range(1, max_iter + 1):
-        nxt = _muller_update(*pts, *vals)
-        if nxt is None or not (math.isfinite(nxt.real) and math.isfinite(nxt.imag)):
-            nxt = best[0] + h * 0.5 ** it  # jiggle out of a degenerate triple
-        fn = complex(f(nxt))
-        pts = [pts[1], pts[2], nxt]
-        vals = [vals[1], vals[2], fn]
-        if abs(fn) < abs(best[1]):
-            best = (nxt, fn)
-        if abs(fn) < target:
-            return RootResult(nxt, it, abs(fn))
-    raise ConvergenceError(
-        f"find_root_complex: no convergence after {max_iter} iterations "
-        f"(best residual {abs(best[1]):.3e}, target {target:.3e})"
-    )
+    seeds = np.atleast_1d(np.asarray(seeds, dtype=complex))
+    k = len(seeds)
+    h = 1e-3 * np.maximum(1.0, np.abs(seeds))
+    turn = cmath.exp(2j * math.pi / 3)
+    pts = np.stack([seeds + h, seeds + h * turn, seeds + h * turn.conjugate()])
+    vals = np.asarray(f_many(pts.reshape(-1)), dtype=complex).reshape(3, k)
+    f_scale = np.median(np.abs(vals), axis=0)
+    f_scale = np.where(f_scale > 0, f_scale, 1.0)
+
+    roots = seeds.copy()
+    resid = np.full(k, np.inf)
+    active = np.arange(k)
+    for _ in range(max_iter):
+        if active.size == 0:
+            break
+        cand = _muller_step(pts[:, active], vals[:, active])
+        fc = np.asarray(f_many(cand), dtype=complex)
+        step = np.abs(cand - pts[2, active])
+        pts[:, active] = np.stack([pts[1, active], pts[2, active], cand])
+        vals[:, active] = np.stack([vals[1, active], vals[2, active], fc])
+        r = np.abs(fc) / f_scale[active]
+        stalled = (step < 1e-12 * np.maximum(1.0, np.abs(cand))) & (r < math.sqrt(tol))
+        done = (r < tol) | stalled
+        roots[active[done]] = cand[done]
+        resid[active[done]] = r[done]
+        active = active[~done]
+    if active.size:
+        raise ConvergenceError(
+            f"{active.size} of {k} Muller lane(s) did not converge after {max_iter} rounds"
+        )
+    return roots, resid
+
+

@@ -27,7 +27,6 @@ import numpy as np
 
 from .errors import (
     BracketError,
-    ConvergenceError,
     NumericsError,
     OverflowGuardError,
     SignAnomalyError,
@@ -37,9 +36,9 @@ from .numerics import (
     Contour,
     _dp_step,
     _leggauss,
-    _muller_update,
     gamma_fn,
     integrate_ode_contour,
+    muller_many,
     refine_brackets,
 )
 
@@ -169,18 +168,11 @@ def bs_constant_quadrature(alpha: float) -> float:
 
 def bs_constant(alpha: float) -> float:
     """int_0^1 sqrt(1 - u^alpha) du via the Gamma identity,
-    Gamma(1/alpha) sqrt(pi) / ((alpha + 2) Gamma(1/alpha + 1/2)),
-    self-checked against direct quadrature to 1e-12.
+    Gamma(1/alpha) sqrt(pi) / ((alpha + 2) Gamma(1/alpha + 1/2)).
     """
     if alpha <= 0:
         raise ValueError("alpha must be positive")
-    value = gamma_fn(1.0 / alpha) * math.sqrt(math.pi) / ((alpha + 2.0) * gamma_fn(1.0 / alpha + 0.5))
-    check = bs_constant_quadrature(alpha)
-    if abs(value - check) > 1e-12:
-        raise NumericsError(
-            f"quantization constant self-check failed: {value!r} vs quadrature {check!r}"
-        )
-    return value
+    return gamma_fn(1.0 / alpha) * math.sqrt(math.pi) / ((alpha + 2.0) * gamma_fn(1.0 / alpha + 0.5))
 
 
 def t_asymptotic(n: int, alpha: float) -> float:
@@ -386,10 +378,11 @@ def _real_spectrum_cached(
 
     # coarse refinement at a loose integrator tolerance, then finish tight
     coarse_tol = max(tol, 1e-5)
-    roots = refine_brackets(
+    lo, hi = refine_brackets(
         lambda ts: _shoot_many(1.0, alpha, ts, X, rtol=1e-8).real,
         grid[idx], grid[idx + 1], vals[idx], vals[idx + 1], coarse_tol,
     )
+    roots = 0.5 * (lo + hi)
     if tol >= coarse_tol:
         return tuple(float(r) for r in roots)
     los, his = roots - coarse_tol, roots + coarse_tol
@@ -402,15 +395,16 @@ def _real_spectrum_cached(
         his = np.where(bad, grid[idx + 1], his)
         ends = _shoot_many(1.0, alpha, np.concatenate((los, his)), X, rtol=3e-12).real
         flo, fhi = ends[: len(roots)], ends[len(roots) :]
-    roots = refine_brackets(
+    lo, hi = refine_brackets(
         lambda ts: _shoot_many(1.0, alpha, ts, X, rtol=3e-12).real,
         los, his, flo, fhi, tol,
     )
+    roots = 0.5 * (lo + hi)
     return tuple(float(r) for r in roots)
 
 
 # ---------------------------------------------------------------------------
-# complex spectrum via lockstep Muller polishing
+# complex spectrum via batched Muller polishing
 # ---------------------------------------------------------------------------
 
 def complex_spectrum(spec: OperatorSpec, n_max: int, tol: float = 1e-9) -> SpectrumResult:
@@ -433,80 +427,38 @@ def complex_spectrum(spec: OperatorSpec, n_max: int, tol: float = 1e-9) -> Spect
             f"truncation X={spec.X:.3f} below the safe radius {x_needed:.3f} for {n_max} modes"
         )
     scale_c = cmath.exp((2.0 / (alpha + 2.0)) * cmath.log(spec.c))
-    t_ref = real_spectrum(alpha, n_max)
-    seeds = np.array([scale_c * t_asymptotic(n, alpha) for n in range(1, n_max + 1)])
+    t_ref = np.array(real_spectrum(alpha, n_max))
+    t_asym = np.array([t_asymptotic(n, alpha) for n in range(1, n_max + 1)])
+    seeds = scale_c * t_asym
 
-    def det_many(lams):
-        return _shoot_many(spec.c, alpha, lams, spec.X, rtol=1e-12)
-
-    k = len(seeds)
-    h = 1e-3 * np.abs(seeds)
-    tri = np.stack(
-        [seeds + h, seeds + h * cmath.exp(2j * math.pi / 3), seeds + h * cmath.exp(-2j * math.pi / 3)]
+    roots, resid = muller_many(
+        lambda lams: _shoot_many(spec.c, alpha, lams, spec.X, rtol=1e-12), seeds, tol
     )
-    fvals = np.stack([det_many(tri[i]) for i in range(3)])
-    f_scale = np.median(np.abs(fvals), axis=0)
-    f_scale = np.where(f_scale > 0, f_scale, 1.0)
-
-    pts = [list(tri[:, j]) for j in range(k)]
-    vls = [list(fvals[:, j]) for j in range(k)]
-    roots = np.array(seeds)
-    resid = np.full(k, np.inf)
-    done = np.zeros(k, dtype=bool)
-    for _ in range(60):
-        if done.all():
-            break
-        cand = np.empty(k, dtype=complex)
-        for j in range(k):
-            if done[j]:
-                cand[j] = roots[j]
-                continue
-            nxt = _muller_update(*pts[j], *vls[j])
-            if nxt is None or not np.isfinite(nxt):
-                nxt = pts[j][-1] * (1.0 + 1e-6)
-            cand[j] = nxt
-        fc = det_many(cand)
-        for j in range(k):
-            if done[j]:
-                continue
-            step = abs(cand[j] - pts[j][-1])
-            pts[j] = [pts[j][1], pts[j][2], cand[j]]
-            vls[j] = [vls[j][1], vls[j][2], fc[j]]
-            resid_j = abs(fc[j]) / f_scale[j]
-            # the determinant carries ~n_steps * rtol multiplicative noise, so
-            # |f| can floor out above tol*scale while the iterates are already
-            # resolved to machine precision; accept a stalled iterate too
-            stalled = step < 1e-12 * max(1.0, abs(cand[j])) and resid_j < math.sqrt(tol)
-            if resid_j < tol or stalled:
-                roots[j] = cand[j]
-                resid[j] = resid_j
-                done[j] = True
-    if not done.all():
-        raise ConvergenceError(f"{int((~done).sum())} eigenvalue polish(es) did not converge")
 
     # scaling-law verification against the real reference spectrum
     t_rec = roots / scale_c
-    for j in range(k):
-        tr = t_rec[j]
-        if abs(tr.imag) > 1e-6 * abs(tr.real) or tr.real <= 0:
-            raise SignAnomalyError(f"recovered t_{j+1} = {tr} is not positive real")
-        if abs(tr.real - t_ref[j]) > 1e-6 * t_ref[j]:
-            raise SignAnomalyError(
-                f"t_{j+1} mismatch: polished {tr.real!r} vs reference {t_ref[j]!r}"
-            )
-    for i in range(k):
-        for j in range(i + 1, k):
-            if abs(roots[i] - roots[j]) < tol * max(1.0, abs(roots[i])):
-                raise NumericsError(f"polished roots {i+1} and {j+1} collided")
+    not_real = (np.abs(t_rec.imag) > 1e-6 * np.abs(t_rec.real)) | (t_rec.real <= 0)
+    mismatch = np.abs(t_rec.real - t_ref) > 1e-6 * t_ref
+    bad = np.flatnonzero(not_real | mismatch)
+    if bad.size:
+        j = int(bad[0])
+        if not_real[j]:
+            raise SignAnomalyError(f"recovered t_{j+1} = {complex(t_rec[j])} is not positive real")
+        raise SignAnomalyError(
+            f"t_{j+1} mismatch: polished {float(t_rec[j].real)!r} vs reference {float(t_ref[j])!r}"
+        )
+    gap = np.abs(roots[:, None] - roots[None, :])
+    near = np.triu(gap < tol * np.maximum(1.0, np.abs(roots))[:, None], k=1)
+    if near.any():
+        i, j = np.argwhere(near)[0]
+        raise NumericsError(f"polished roots {i+1} and {j+1} collided")
 
     order = np.argsort(t_rec.real)
     return SpectrumResult(
-        eigenvalues=tuple(complex(roots[j]) for j in order),
-        t_values=tuple(float(t_rec[j].real) for j in order),
-        residuals=tuple(float(resid[j]) for j in order),
-        asymptotic_deviation=tuple(
-            float(abs(t_rec[j].real / t_asymptotic(int(j) + 1, alpha) - 1.0)) for j in order
-        ),
+        eigenvalues=tuple(roots[order].tolist()),
+        t_values=tuple(t_rec.real[order].tolist()),
+        residuals=tuple(resid[order].tolist()),
+        asymptotic_deviation=tuple(np.abs(t_rec.real / t_asym - 1.0)[order].tolist()),
     )
 
 

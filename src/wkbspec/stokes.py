@@ -24,15 +24,16 @@ from .errors import TracingError
 from .numerics import Contour, _leggauss
 
 __all__ = [
+    "CrossingCheck",
     "RayCrossingReport",
     "StokesCurve",
     "StokesGraph",
     "build_stokes_graph",
+    "classify_crossings",
     "launch_angles",
     "ray_crossing_report",
     "ray_extremum",
     "trace_stokes_curve",
-    "turning_points",
 ]
 
 TO_INFINITY = "infinity"
@@ -88,14 +89,19 @@ class RayCrossingReport:
         return len(self.crossings_complex2)
 
 
-# ---------------------------------------------------------------------------
-# turning points and launch directions
-# ---------------------------------------------------------------------------
+@dataclass(frozen=True)
+class CrossingCheck:
+    """One psi of the classification sweep and whether it fits its regime."""
 
-def turning_points(pot: PotentialQuadratic) -> List[complex]:
-    """Zeros of the potential polynomial (both simple)."""
-    return pot.turning_points()
+    psi: float
+    regime: int  # 1: psi in (0, gamma); 2: (gamma, 2 pi - 3 gamma); 3: (2 pi - 3 gamma, 2 pi)
+    report: RayCrossingReport
+    matches: bool
 
+
+# ---------------------------------------------------------------------------
+# launch directions
+# ---------------------------------------------------------------------------
 
 def launch_angles(pot: PotentialQuadratic, tp: complex) -> List[float]:
     """The three Stokes-curve inclinations at a simple turning point.
@@ -254,6 +260,9 @@ def trace_stokes_curve(
             h_sag = 4.0 * h
         h_theta = h * min(2.0, max(0.3, 0.5 * _THETA_MAX / max(dtheta, 1e-12)))
         h = min(h_theta, h_sag, 0.35 * scale * (1.0 + 0.25 * abs(z - tp)))
+        # never step across the other turning point: on the finite curve
+        # [0, mu] of an on-axis t-form the predictor would jump past it
+        h = min(h, 0.5 * abs(z - other))
 
     asym = None
     if terminal == TO_INFINITY:
@@ -530,3 +539,41 @@ def ray_crossing_report(
         crossing_points_complex2=tuple(p for _, p in hits2),
         extremum=ray_extremum(gamma, psi),
     )
+
+
+def _fits_regime(regime: int, rep: RayCrossingReport) -> bool:
+    if regime == 1:
+        # two crossings with the second complex, straddling the extremum
+        return (
+            rep.count_complex1 == 0
+            and rep.count_complex2 == 2
+            and rep.crossings_complex2[0] < rep.extremum[0] < rep.crossings_complex2[1]
+        )
+    if regime == 2:
+        return rep.count_complex1 == 0 and rep.count_complex2 <= 1 and rep.extremum is None
+    return rep.count_complex1 == 1 and rep.count_complex2 <= 1 and rep.extremum is not None
+
+
+def classify_crossings(gamma: float, per_regime: int) -> List[CrossingCheck]:
+    """Check the crossing pattern of the ray at angle gamma - psi on a psi sweep.
+
+    per_regime midpoint samples of psi in each of the three regimes
+    (0, gamma), (gamma, 2 pi - 3 gamma) and (2 pi - 3 gamma, 2 pi), in that
+    order.  Regime 1: no crossing with the first complex, two with the
+    second, and the extremum of Re S between them.  Regime 2: no crossing
+    with the first complex, at most one with the second, Re S monotone.
+    Regime 3: one crossing with the first complex, at most one with the
+    second, and an extremum.
+    """
+    regimes = (
+        (1, 0.0, gamma),
+        (2, gamma, 2.0 * math.pi - 4.0 * gamma),
+        (3, 2.0 * math.pi - 3.0 * gamma, 3.0 * gamma),
+    )
+    out = []
+    for regime, start, span in regimes:
+        for i in range(per_regime):
+            psi = start + (i + 0.5) * span / per_regime
+            rep = ray_crossing_report(psi, gamma)
+            out.append(CrossingCheck(psi, regime, rep, _fits_regime(regime, rep)))
+    return out

@@ -19,6 +19,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, List, Optional, Tuple
 
+import numpy as np
+
 from .actions import (
     PotentialQuadratic,
     action_with_phase,
@@ -26,7 +28,7 @@ from .actions import (
     segment_integral_closed,
 )
 from .errors import SignAnomalyError
-from .numerics import Bracket, Contour
+from .numerics import Bracket, Contour, refine_brackets
 
 __all__ = [
     "CompletenessVerdict",
@@ -119,7 +121,7 @@ def f_theta_routes(theta: float) -> Dict[str, float]:
 
 
 def solve_theta0(tol: float) -> ThresholdReport:
-    """Bisect F on [pi/10, pi/9] down to an enclosure narrower than tol.
+    """Refine F's bracket [pi/10, pi/9] to an enclosure at most tol wide.
 
     Also records F on a 100-point grid over [0, pi/6) (the monotonicity
     witness) and the verification checks.  Raises SignAnomalyError if the
@@ -128,23 +130,19 @@ def solve_theta0(tol: float) -> ThresholdReport:
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
-    lo, hi = THETA_LO, THETA_HI
-    f_lo, f_hi = f_theta(lo), f_theta(hi)
+    f_lo, f_hi = f_theta(THETA_LO), f_theta(THETA_HI)
     if f_lo >= 0.0 or f_hi <= 0.0:
         raise SignAnomalyError(
             f"endpoint signs violated: F(pi/10)={f_lo:.3e}, F(pi/9)={f_hi:.3e}"
         )
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if f_theta(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
+    (lo,), (hi,) = refine_brackets(
+        np.vectorize(f_theta, otypes=[float]), [THETA_LO], [THETA_HI], [f_lo], [f_hi], tol
+    )
     grid = [(_THETA_SUP - 1e-12) * k / 99.0 for k in range(100)]
     samples = tuple((t, f_theta(t)) for t in grid)
     return ThresholdReport(
-        theta0=0.5 * (lo + hi),
-        enclosure=Bracket(lo, hi),
+        theta0=float(0.5 * (lo + hi)),
+        enclosure=Bracket(float(lo), float(hi)),
         f_lo=f_lo,
         f_hi=f_hi,
         f_samples=samples,

@@ -25,7 +25,7 @@ from wkbspec.spectrum import (
     s_numbers,
     t_asymptotic,
 )
-from wkbspec.stokes import numerical_ray_extremum, ray_crossing_report, ray_extremum
+from wkbspec.stokes import classify_crossings, numerical_ray_extremum, ray_extremum
 from wkbspec.threshold import f_theta, f_theta_routes, solve_theta0, verify_threshold_bounds
 
 GAMMA = math.pi / 8.0
@@ -170,25 +170,9 @@ def test_criterion_07_scaling_law(alpha23_reference):
 
 def test_criterion_08_crossing_classification():
     n = 50
-    bad = 0
-    for i in range(n):
-        psi = (i + 0.5) * GAMMA / n
-        rep = ray_crossing_report(psi, GAMMA)
-        good = rep.count_complex1 == 0 and rep.count_complex2 == 2
-        if good:
-            lo, hi = rep.crossings_complex2
-            good = lo < rep.extremum[0] < hi
-        bad += 0 if good else 1
-    for i in range(n):
-        psi = GAMMA + (i + 0.5) * (2.0 * math.pi - 4.0 * GAMMA) / n
-        rep = ray_crossing_report(psi, GAMMA)
-        good = rep.count_complex1 == 0 and rep.count_complex2 <= 1 and rep.extremum is None
-        bad += 0 if good else 1
-    for i in range(n):
-        psi = (2.0 * math.pi - 3.0 * GAMMA) + (i + 0.5) * (3.0 * GAMMA) / n
-        rep = ray_crossing_report(psi, GAMMA)
-        good = rep.count_complex1 == 1 and rep.count_complex2 <= 1 and rep.extremum is not None
-        bad += 0 if good else 1
+    checks = classify_crossings(GAMMA, n)
+    assert [chk.regime for chk in checks] == [1] * n + [2] * n + [3] * n
+    bad = sum(1 for chk in checks if not chk.matches)
 
     worst_ext = 0.0
     for regime_start, span in ((0.0, GAMMA), (2.0 * math.pi - 3.0 * GAMMA, 3.0 * GAMMA)):

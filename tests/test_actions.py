@@ -15,7 +15,6 @@ from wkbspec.actions import (
     action_with_phase,
     half_line_integral_split,
     segment_integral_closed,
-    sqrt_branch_track,
 )
 
 
@@ -32,41 +31,54 @@ def test_potential_forms():
 
 
 # ---------------------------------------------------------------------------
-# branch tracking
+# branch tracking: the arg P that action_with_phase carries along the path
 # ---------------------------------------------------------------------------
 
+def _sqrt_x2_minus_x_antiderivative(x):
+    # d/dx of this is sqrt(x^2 - x) wherever x^2 - x > 0
+    r = math.sqrt(x * x - x)
+    return 0.25 * (2.0 * x - 1.0) * r - 0.125 * math.log(abs(2.0 * x - 1.0 + 2.0 * r))
+
+
 def test_branch_value_at_anchor():
-    # z-form, psi = 0: P(2) = 2, principal start gives sqrt(2)
+    # z-form, psi = 0: P = x (x - 1) > 0 on [2, 2.5]; anchor 0 picks the
+    # positive square root, anchor 2*pi the other sheet
     pot = PotentialQuadratic.z_form(0.0)
-    vals = sqrt_branch_track(pot, Contour([2.0, 2.5]), 0.0)
-    assert abs(vals[0].value - math.sqrt(2.0)) < 1e-14
-    # shifting the sheet by 2*pi selects the other square root
-    vals2 = sqrt_branch_track(pot, Contour([2.0, 2.5]), 2.0 * math.pi)
-    assert abs(vals2[0].value + math.sqrt(2.0)) < 1e-14
+    exact = _sqrt_x2_minus_x_antiderivative(2.5) - _sqrt_x2_minus_x_antiderivative(2.0)
+    s0, ph0 = action_with_phase(pot, Contour([2.0, 2.5]), 0.0)
+    s1, ph1 = action_with_phase(pot, Contour([2.0, 2.5]), 2.0 * math.pi)
+    assert abs(s0 - exact) < 1e-12
+    assert abs(s1 + exact) < 1e-12
+    assert abs(ph0) < 1e-14 and abs(ph1 - 2.0 * math.pi) < 1e-14
 
 
 def test_branch_t_form_both_sheets():
+    # t-form, mu = 1: p = t^2 - t > 0 on [-1.5, -1]; the path runs leftward
     pot = PotentialQuadratic.t_form(1.0)
     base = cmath.phase(pot(-1.0))
+    exact = _sqrt_x2_minus_x_antiderivative(-1.5) - _sqrt_x2_minus_x_antiderivative(-1.0)
     for shift, sign in ((0.0, 1.0), (2.0 * math.pi, -1.0)):
-        vals = sqrt_branch_track(pot, Contour([-1.0, -1.5]), base + shift)
-        v = vals[0].value
-        assert abs(v - sign * math.sqrt(2.0)) < 1e-14
-        assert abs(v * v - pot(-1.0)) < 1e-14
+        s, ph = action_with_phase(pot, Contour([-1.0, -1.5]), base + shift)
+        assert abs(s - sign * exact) < 1e-12
+        assert abs(ph - (base + shift)) < 1e-14
 
 
 def test_monodromy_single_turning_point():
+    # a loop around z = 1 only: arg P winds once, the sheet flips
     pot = PotentialQuadratic.z_form(0.0)
     loop = Contour([2.0, 1.0 + 0.8j, 0.2, 1.0 - 0.8j, 2.0])
-    vals = sqrt_branch_track(pot, loop, cmath.phase(pot(2.0)))
-    assert abs(vals[-1].value + vals[0].value) < 1e-12
+    start = cmath.phase(pot(2.0))
+    _, end = action_with_phase(pot, loop, start)
+    assert abs(abs(end - start) - 2.0 * math.pi) < 1e-12
 
 
 def test_monodromy_both_turning_points():
+    # a loop around both zeros: arg P winds twice, the sheet comes back
     pot = PotentialQuadratic.z_form(0.0)
     loop = Contour([2.0, 0.5 + 2.0j, -1.0, 0.5 - 2.0j, 2.0])
-    vals = sqrt_branch_track(pot, loop, cmath.phase(pot(2.0)))
-    assert abs(vals[-1].value - vals[0].value) < 1e-12
+    start = cmath.phase(pot(2.0))
+    _, end = action_with_phase(pot, loop, start)
+    assert abs(abs(end - start) - 4.0 * math.pi) < 1e-12
 
 
 @settings(deadline=None, max_examples=40)
@@ -78,20 +90,25 @@ def test_monodromy_both_turning_points():
     st.floats(min_value=0.05, max_value=1.8),
 )
 def test_branch_square_recovers_potential(psi, x0, y0, x1, y1):
+    # the carried phase is an argument of P at the end point, and the two
+    # legs of a split path hand the same phase on
     pot = PotentialQuadratic.z_form(psi)
     a, b = complex(x0, y0), complex(x1, y1)
     assume(abs(a - b) > 1e-3)
-    path = Contour([a, b])
-    vals = sqrt_branch_track(pot, path, cmath.phase(pot(a)))
-    for v in vals:
-        p = pot(v.point)
-        assert abs(v.value**2 - p) <= 1e-12 * max(1.0, abs(p))
+    m = 0.5 * (a + b)
+    _, ph_b = action_with_phase(pot, Contour([a, b]), cmath.phase(pot(a)))
+    p = pot(b)
+    w = math.sqrt(abs(p)) * cmath.exp(0.5j * ph_b)
+    assert abs(w * w - p) <= 1e-12 * max(1.0, abs(p))
+    _, ph_m = action_with_phase(pot, Contour([a, m]), cmath.phase(pot(a)))
+    _, ph_b2 = action_with_phase(pot, Contour([m, b]), ph_m)
+    assert abs(ph_b2 - ph_b) < 1e-12
 
 
 def test_turning_point_proximity_rejected():
     pot = PotentialQuadratic.z_form(0.0)
     with pytest.raises(TurningPointError):
-        sqrt_branch_track(pot, Contour([-1.0, 2.0]), 0.0)  # passes through both zeros
+        action_with_phase(pot, Contour([-1.0, 2.0]), 0.0)  # passes through both zeros
     with pytest.raises(TurningPointError):
         action(pot, Contour([-1.0 + 1e-12j, 2.0 + 1e-12j]), 0.0)
 
@@ -103,7 +120,7 @@ def test_inconsistent_anchor_phase_rejected():
 
     pot = PotentialQuadratic.z_form(0.0)
     with pytest.raises(PhaseTrackingError):
-        sqrt_branch_track(pot, Contour([2.0, 2.5]), cmath.phase(pot(2.0)) + math.pi)
+        action_with_phase(pot, Contour([2.0, 2.5]), cmath.phase(pot(2.0)) + math.pi)
 
 
 def test_segment_closed_rejects_negative():

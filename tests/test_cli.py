@@ -129,6 +129,18 @@ def test_verify_deterministic_and_green(tmp_path, capsys):
     assert "OK: 0 failure(s)" in f1.read_text()
 
 
+def test_verify_large_gamma(tmp_path):
+    # the extremum scan window grows with tau0, so gamma past 0.725 reaches
+    # the extremum check instead of crashing; at 0.76 the arclength-12
+    # traces miss crossings and the sweep reports them as failures
+    out = tmp_path / "v.txt"
+    assert main(["verify", "--per-regime", "3", "--gamma", "0.73", "--out", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    assert all(ln.startswith("PASS") for ln in lines[1:-1]) and lines[-1] == "OK: 0 failure(s)"
+    assert main(["verify", "--per-regime", "3", "--gamma", "0.76", "--out", str(out)]) == 1
+    assert any(ln.startswith("FAIL crossing_classification") for ln in out.read_text().splitlines())
+
+
 def test_bad_arguments_exit_2(capsys):
     assert main(["spectrum", "--alpha", "2"]) == 2
     assert main(["nonsense"]) == 2

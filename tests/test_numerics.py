@@ -11,11 +11,10 @@ from wkbspec.errors import BracketError, ConvergenceError, StepUnderflowError
 from wkbspec.numerics import (
     Bracket,
     Contour,
-    find_root_complex,
-    find_root_real,
     gamma_fn,
     gauss_legendre,
     integrate_ode_contour,
+    muller_many,
     refine_brackets,
 )
 
@@ -162,19 +161,26 @@ def test_ode_step_underflow_on_singular_field():
 # real roots
 # ---------------------------------------------------------------------------
 
+def _refine_one(f, lo, hi, tol):
+    """refine_brackets on a single bracket; returns the final (lo, hi)."""
+    (a,), (b,) = refine_brackets(np.vectorize(f, otypes=[float]), [lo], [hi], [f(lo)], [f(hi)], tol)
+    return a, b
+
+
 def test_root_sqrt2():
-    r = find_root_real(lambda x: x * x - 2.0, Bracket(1.0, 2.0), 1e-12)
-    assert abs(r - math.sqrt(2.0)) < 1e-10
+    lo, hi = _refine_one(lambda x: x * x - 2.0, 1.0, 2.0, 1e-12)
+    assert abs(0.5 * (lo + hi) - math.sqrt(2.0)) < 1e-10
+    assert lo <= math.sqrt(2.0) <= hi
 
 
 def test_root_cos():
-    r = find_root_real(math.cos, Bracket(1.0, 2.0), 1e-12)
-    assert abs(r - math.pi / 2.0) < 1e-10
+    lo, hi = _refine_one(math.cos, 1.0, 2.0, 1e-12)
+    assert abs(0.5 * (lo + hi) - math.pi / 2.0) < 1e-10
 
 
 def test_root_no_sign_change():
     with pytest.raises(BracketError):
-        find_root_real(lambda x: x * x + 1.0, Bracket(-1.0, 1.0), 1e-10)
+        _refine_one(lambda x: x * x + 1.0, -1.0, 1.0, 1e-10)
 
 
 @settings(deadline=None, max_examples=60)
@@ -186,9 +192,11 @@ def test_root_no_sign_change():
 def test_root_stays_inside_bracket(r0, off_lo, off_hi):
     f = lambda x: (x - r0) * (1.0 + (x - r0) ** 2)
     b = Bracket(r0 - off_lo, r0 + off_hi)
-    r = find_root_real(f, b, 1e-10)
-    assert b.lo <= r <= b.hi
-    assert abs(r - r0) < 1e-9
+    lo, hi = _refine_one(f, b.lo, b.hi, 1e-10)
+    assert b.lo <= lo < hi <= b.hi
+    assert hi - lo <= 1e-10
+    assert f(lo) * f(hi) <= 0.0
+    assert abs(0.5 * (lo + hi) - r0) < 1e-9
 
 
 def test_refine_brackets_vectorized():
@@ -199,31 +207,60 @@ def test_refine_brackets_vectorized():
 
     lo = targets - 0.7
     hi = targets + 0.9
-    roots = refine_brackets(f_many, lo, hi, f_many(lo), f_many(hi), 1e-12)
-    assert_allclose(roots, targets, atol=1e-10)
+    lo, hi = refine_brackets(f_many, lo, hi, f_many(lo), f_many(hi), 1e-12)
+    assert np.all(hi - lo <= 1e-12)
+    assert_allclose(0.5 * (lo + hi), targets, atol=1e-10)
 
 
 # ---------------------------------------------------------------------------
 # complex roots
 # ---------------------------------------------------------------------------
 
+def _counted(f):
+    """Vectorize a scalar function and count the batched calls made to it."""
+    calls = []
+
+    def f_many(zs):
+        calls.append(len(zs))
+        return np.array([f(z) for z in zs], dtype=complex)
+
+    return f_many, calls
+
+
 def test_muller_quadratic():
-    res = find_root_complex(lambda z: z * z + 1.0, 0.2 + 0.8j, 1e-10)
-    assert abs(res.root - 1j) < 1e-10
+    roots, _ = muller_many(lambda z: z * z + 1.0, [0.2 + 0.8j], 1e-10)
+    assert abs(roots[0] - 1j) < 1e-10
 
 
 def test_muller_sin():
-    res = find_root_complex(cmath.sin, 3.0, 1e-12)
-    assert abs(res.root - math.pi) < 1e-12
-    assert res.iterations <= 10
+    f_many, calls = _counted(cmath.sin)
+    roots, _ = muller_many(f_many, [3.0], 1e-12)
+    assert abs(roots[0] - math.pi) < 1e-12
+    # one call for the probe triangle, then one per iteration
+    assert calls[0] == 3
+    assert len(calls) - 1 <= 10
 
 
 def test_muller_reports_iterations_and_residual():
-    res = find_root_complex(lambda z: (z - 2.0) * (z + 1.0), 1.5, 1e-10)
-    assert res.iterations >= 1
-    assert res.residual >= 0.0
+    f_many, calls = _counted(lambda z: (z - 2.0) * (z + 1.0))
+    roots, resid = muller_many(f_many, [1.5], 1e-10)
+    assert len(calls) - 1 >= 1
+    assert resid.shape == (1,) and resid[0] >= 0.0
+    assert abs(roots[0] - 2.0) < 1e-9
 
 
 def test_muller_no_convergence():
     with pytest.raises(ConvergenceError):
-        find_root_complex(lambda z: 1.0 + abs(z), 1.0, 1e-12, max_iter=10)
+        muller_many(lambda z: 1.0 + np.abs(z), [1.0], 1e-12, max_iter=10)
+
+
+def test_muller_many_batch_matches_single_lanes():
+    # lanes converge independently: the batch gives each lane's scalar answer
+    f_many = lambda z: np.sin(z) * (z - 0.5j)
+    seeds = [3.0, 0.4j, -2.9 + 0.1j]
+    roots, resid = muller_many(f_many, seeds, 1e-12)
+    assert_allclose(roots, [math.pi, 0.5j, -math.pi], atol=1e-12)
+    assert np.all(resid < 1e-6)
+    for seed, root in zip(seeds, roots):
+        single, _ = muller_many(f_many, [seed], 1e-12)
+        assert abs(single[0] - root) < 1e-12

@@ -177,11 +177,18 @@ def test_det_requires_truncation_beyond_turning_point():
 
 
 def test_muller_polishes_first_oscillator_eigenvalue():
-    from wkbspec.numerics import find_root_complex
+    from wkbspec.numerics import muller_many
 
     spec = OperatorSpec.for_modes(1.0 + 0j, 2.0, 4)
-    res = find_root_complex(lambda z: spectral_det(spec, z), 2.8, 1e-8)
-    assert abs(res.root - 3.0) < 1e-7
+    calls = []
+
+    def f_many(zs):
+        calls.append(len(zs))
+        return np.array([spectral_det(spec, z) for z in zs])
+
+    roots, _ = muller_many(f_many, [2.8], 1e-8)
+    assert abs(roots[0] - 3.0) < 1e-7
+    assert calls[0] == 3 and len(calls) - 1 <= 10
 
 
 def test_det_sign_changes_across_real_roots():

@@ -1,5 +1,6 @@
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -13,17 +14,16 @@ from wkbspec.stokes import (
     ray_crossing_report,
     ray_extremum,
     trace_stokes_curve,
-    turning_points,
 )
 
 GAMMA = math.pi / 8.0
 
 
 def test_turning_points():
-    assert turning_points(PotentialQuadratic.z_form(1.1)) == [0.0, 1.0]
-    assert turning_points(PotentialQuadratic.t_form(1.0)) == [0.0, 1.0]
+    assert PotentialQuadratic.z_form(1.1).turning_points() == [0.0, 1.0]
+    assert PotentialQuadratic.t_form(1.0).turning_points() == [0.0, 1.0]
     mu = cmath.exp(1j * math.pi / 5.0)
-    assert turning_points(PotentialQuadratic.t_form(mu))[1] == mu
+    assert PotentialQuadratic.t_form(mu).turning_points()[1] == mu
 
 
 def _angle_set_matches(angles, expected, tol=1e-6):
@@ -74,7 +74,12 @@ def test_asymptotic_directions_simple_graph():
 
 
 def test_compound_flag_quarter_turn():
-    assert build_stokes_graph(PotentialQuadratic.t_form(1j)).compound
+    # on-axis mu joins the turning points by the finite curve [0, mu]; at
+    # these moduli a predictor step along it can land beyond mu
+    for mu in (1j, 0.525, 0.62j, -0.725, -0.925j, 0.92):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert build_stokes_graph(PotentialQuadratic.t_form(mu)).compound
     assert not build_stokes_graph(PotentialQuadratic.t_form(cmath.exp(1j * math.pi / 5.0))).compound
 
 

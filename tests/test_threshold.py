@@ -110,8 +110,19 @@ def test_threshold_consistency_with_enclosure():
     assert THETA_HI - rep.theta0 > 1e-3
 
 
-def test_generic_root_finder_agrees_with_bisection():
-    from wkbspec.numerics import Bracket, find_root_real
+def test_solve_theta0_matches_mpmath():
+    # independent oracle: F at 30 digits by tanh-sinh quadrature, zero by
+    # mpmath.findroot on the same bracket
+    mpmath = pytest.importorskip("mpmath")
 
-    root = find_root_real(f_theta, Bracket(THETA_LO, THETA_HI), 1e-12)
-    assert abs(root - solve_theta0(1e-12).theta0) < 1e-10
+    def f_mp(th):
+        psi2 = 2 * (mpmath.pi / 8 - 3 * th / 4)
+        i_val = mpmath.quad(lambda t: mpmath.sqrt(t * t - 1j * t), [0, mpmath.tan(th)])
+        return -mpmath.sin(psi2) * (mpmath.pi / 8 + i_val.imag) + mpmath.cos(psi2) * i_val.real
+
+    with mpmath.workdps(30):
+        ref = mpmath.findroot(f_mp, (mpmath.pi / 10, mpmath.pi / 9), solver="anderson")
+        rep = solve_theta0(1e-12)
+        assert abs(rep.theta0 - float(ref)) < 1e-12
+        assert rep.enclosure.lo <= ref <= rep.enclosure.hi
+        assert rep.enclosure.width <= 1e-12
