@@ -7,7 +7,7 @@ a = 2/3 operator.
 
 __version__ = "0.1.0"
 
-from .numerics import Bracket, Contour, gamma_fn, gauss_legendre, integrate_ode_contour
+from .numerics import Bracket, Contour, gamma_fn, gauss_legendre
 from .actions import (
     PotentialQuadratic,
     action,
@@ -63,7 +63,6 @@ __all__ = [
     "gauss_legendre",
     "half_line_integral_split",
     "homogeneous_pair",
-    "integrate_ode_contour",
     "numerical_ray_extremum",
     "ray_crossing_report",
     "ray_extremum",

@@ -5,10 +5,6 @@ class NumericsError(RuntimeError):
     """Base class for numerical failures that are not plain misuse."""
 
 
-class StepUnderflowError(NumericsError):
-    """Adaptive ODE step fell below the resolvable fraction of the path."""
-
-
 class ConvergenceError(NumericsError):
     """An iterative solver exhausted its iteration budget."""
 

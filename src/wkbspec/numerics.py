@@ -1,6 +1,7 @@
-"""Self-contained numerical kernels: Gamma, Gauss-Legendre quadrature,
-adaptive Runge-Kutta integration along complex contours, and root finding
-(one bracketed refiner for real roots, one batched Muller for complex ones).
+"""Self-contained numerical kernels: Gamma, Gauss-Legendre quadrature on
+complex contours, and root finding (one bracketed refiner for real roots,
+one batched Muller for complex ones).  The ODE solves live with their only
+user, the Magnus transfer kernel in wkbspec.spectrum.
 
 All functions are pure; nothing here keeps module-level mutable state, so
 everything is safe to call concurrently.
@@ -12,18 +13,17 @@ import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, Sequence, Tuple
 
 import numpy as np
 
-from .errors import BracketError, ConvergenceError, StepUnderflowError
+from .errors import BracketError, ConvergenceError
 
 __all__ = [
     "Bracket",
     "Contour",
     "gamma_fn",
     "gauss_legendre",
-    "integrate_ode_contour",
     "muller_many",
     "refine_brackets",
 ]
@@ -151,139 +151,6 @@ def gauss_legendre(f: Callable, seg: Contour, n: int) -> complex:
     if not np.all(np.isfinite(vals)):
         raise ValueError("integrand returned non-finite values on the segment")
     return complex(half * np.sum(w * vals))
-
-
-# ---------------------------------------------------------------------------
-# adaptive Dormand-Prince 5(4) along a contour
-# ---------------------------------------------------------------------------
-
-# Dormand-Prince 5(4) tableau, stages unrolled for speed
-_E1 = 35 / 384 - 5179 / 57600
-_E3 = 500 / 1113 - 7571 / 16695
-_E4 = 125 / 192 - 393 / 640
-_E5 = -2187 / 6784 + 92097 / 339200
-_E6 = 11 / 84 - 187 / 2100
-_E7 = -1 / 40
-
-_MIN_STEP_FRACTION = 1e-14
-
-
-def _dp_step(rhs, s, y, h, k1):
-    """One Dormand-Prince 5(4) step; returns (y5, err_vec, k_last)."""
-    k2 = rhs(s + 0.2 * h, y + (0.2 * h) * k1)
-    k3 = rhs(s + 0.3 * h, y + h * (0.075 * k1 + 0.225 * k2))
-    k4 = rhs(s + 0.8 * h, y + h * ((44 / 45) * k1 + (-56 / 15) * k2 + (32 / 9) * k3))
-    k5 = rhs(
-        s + (8 / 9) * h,
-        y + h * ((19372 / 6561) * k1 + (-25360 / 2187) * k2 + (64448 / 6561) * k3 + (-212 / 729) * k4),
-    )
-    k6 = rhs(
-        s + h,
-        y
-        + h
-        * (
-            (9017 / 3168) * k1
-            + (-355 / 33) * k2
-            + (46732 / 5247) * k3
-            + (49 / 176) * k4
-            + (-5103 / 18656) * k5
-        ),
-    )
-    y5 = y + h * (
-        (35 / 384) * k1 + (500 / 1113) * k3 + (125 / 192) * k4 + (-2187 / 6784) * k5 + (11 / 84) * k6
-    )
-    k7 = rhs(s + h, y5)
-    err = h * (_E1 * k1 + _E3 * k3 + _E4 * k4 + _E5 * k5 + _E6 * k6 + _E7 * k7)
-    return y5, err, k7
-
-
-def _default_scale(y):
-    return np.maximum(1.0, np.abs(y))
-
-
-def integrate_ode_contour(
-    field: Callable,
-    start,
-    path: Contour,
-    tol: float,
-    *,
-    scale: Optional[Callable] = None,
-    max_steps: int = 500_000,
-):
-    """Integrate state' = field(z, state) along a polyline contour.
-
-    The path is parameterized by arclength; on each straight segment the
-    chain rule supplies the constant direction factor.  Embedded 5(4)
-    Dormand-Prince pair with PI step-size control; the local error estimate
-    per step is kept below tol componentwise (measured against
-    max(1, |state|) by default, or against scale(state) when given).
-
-    Raises StepUnderflowError when the required step drops below 1e-14 of
-    the total arclength, which signals stiffness or a singularity on the
-    path.
-    """
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
-    scalar_input = np.isscalar(start) or isinstance(start, complex)
-    y = np.atleast_1d(np.asarray(start, dtype=complex)).copy()
-    shape = y.shape
-    y = y.reshape(-1)
-    sc_fn = scale if scale is not None else _default_scale
-    total_len = path.arclength
-    hmin = _MIN_STEP_FRACTION * total_len
-    nsteps = 0
-
-    for a, b in path.segments():
-        seg_len = abs(b - a)
-        direction = (b - a) / seg_len
-
-        def rhs(s, v, _a=a, _u=direction):
-            out = np.asarray(field(_a + _u * s, v.reshape(shape)), dtype=complex)
-            return _u * out.reshape(-1)
-
-        s = 0.0
-        h = min(seg_len, max(100.0 * hmin, 0.01 * seg_len))
-        k1 = rhs(s, y)
-        err_prev = 1.0
-        rejected = False
-        while s < seg_len:
-            h = min(h, seg_len - s)
-            y5, err_vec, k_last = _dp_step(rhs, s, y, h, k1)
-            sc_raw = np.asarray(sc_fn(y5.reshape(shape)), dtype=float)
-            sc = np.broadcast_to(sc_raw, shape).reshape(-1)
-            err = float(np.max(np.abs(err_vec) / np.maximum(sc, 1e-300))) / tol
-            if not math.isfinite(err):
-                err = 10.0
-            if err <= 1.0:
-                s += h
-                y = y5
-                k1 = k_last
-                if err == 0.0:
-                    fac = 5.0
-                else:
-                    fac = 0.9 * err ** -0.14 * err_prev ** 0.08
-                if rejected:
-                    fac = min(fac, 1.0)
-                h *= min(5.0, max(0.2, fac))
-                err_prev = max(err, 1e-4)
-                rejected = False
-            else:
-                h *= max(0.1, 0.9 * err ** -0.2)
-                rejected = True
-            if h < hmin:
-                raise StepUnderflowError(
-                    f"step {h:.3e} below resolvable fraction of arclength {total_len:.3e}"
-                )
-            nsteps += 1
-            if nsteps > max_steps:
-                raise ConvergenceError("ODE step budget exhausted")
-
-    if not np.all(np.isfinite(y)):
-        raise ConvergenceError("non-finite state after contour integration")
-    out = y.reshape(shape)
-    if scalar_input:
-        return complex(out[()] if out.shape == () else out[0])
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -6,13 +6,14 @@ eigenvalues are polished zeros of a spectral-determinant proxy, the inverse
 operator acts through the Green kernel built from the two distinguished
 homogeneous solutions, and the singular values are 1/|lambda_n|.
 
-The determinant proxy is the boundary value y(0; lambda) of the solution
-that decays at infinity, integrated inward from the truncation radius X
-with a WKB seed.  To keep hundreds of orders of magnitude inside double
-precision the outer stage integrates w = y * exp(+phi(x)) (phi the WKB
-exponent), which removes the dominant decay analytically; the remaining
-normalization is a lambda-independent constant, so the proxy is an entire
-function of lambda with exactly the eigenvalues as zeros.
+Every ODE solve goes through one kernel, the Magnus-4 transfer matrix of
+y'' = (c x^a - lambda) y over an interval (_magnus).  The determinant proxy
+is the boundary value y(0; lambda) of the solution that decays at
+infinity, chained inward from the truncation radius X with a WKB seed;
+a lambda-independent factor per interval keeps hundreds of orders of
+magnitude inside double precision, so the proxy is an entire function of
+lambda with exactly the eigenvalues as zeros.  The Green-kernel pair and
+the eigenfunctions apply the same matrices node by node across the grid.
 """
 
 from __future__ import annotations
@@ -32,15 +33,7 @@ from .errors import (
     SignAnomalyError,
     WronskianError,
 )
-from .numerics import (
-    Contour,
-    _dp_step,
-    _leggauss,
-    gamma_fn,
-    integrate_ode_contour,
-    muller_many,
-    refine_brackets,
-)
+from .numerics import _leggauss, gamma_fn, muller_many, refine_brackets
 
 __all__ = [
     "OperatorSpec",
@@ -60,8 +53,6 @@ __all__ = [
     "t_asymptotic",
 ]
 
-_NEAR_ORIGIN_EDGE = 1e-2
-_NEAR_ORIGIN_STEP = 1e-4
 _OVERFLOW_BOUND = 1e300
 
 
@@ -215,92 +206,133 @@ def default_truncation(alpha: float, t_top: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# renormalized inward shooting (the spectral-determinant proxy)
+# Magnus transfer kernel and the spectral-determinant proxy
 # ---------------------------------------------------------------------------
 
-def _pair_scale(y):
-    """Per-pair relative scale for the (value, derivative) shooting state."""
-    mags = np.abs(y)
-    top = float(mags.max(initial=0.0))
-    if top > _OVERFLOW_BOUND:
-        raise OverflowGuardError("shooting amplitude exceeded 1e300 despite renormalization")
-    return np.maximum(mags.max(axis=0, keepdims=True), 1e-280)
+_GAUSS_OFFSET = math.sqrt(3.0) / 6.0
+# Taylor coefficients of (cosh(sqrt z) - 1)/z and sinh(sqrt z)/sqrt z, highest first
+_COSHM1_TAYLOR = [1.0 / math.factorial(2 * k + 2) for k in range(6, -1, -1)]
+_SINHC_TAYLOR = [1.0 / math.factorial(2 * k + 1) for k in range(6, -1, -1)]
 
 
-def _shoot_many(c: complex, alpha: float, lams: np.ndarray, X: float, rtol: float) -> np.ndarray:
+def _cosh_sinhc(z):
+    """cosh(sqrt z) and sinh(sqrt z)/sqrt z; both are entire in z.
+
+    Degree-6 Taylor polynomials on |z| <= 1/16 (truncation below 1e-18
+    relative), carried to larger |z| by cosh(2m) - 1 = 2 sinh(m)^2 and
+    sinh(2m) = 2 sinh(m) cosh(m), which only multiply.  Real z stays in
+    real arithmetic.
+    """
+    # 4^doublings >= 16 max|z|; a non-finite z gives 0 and stays non-finite
+    doublings = max(0, (math.frexp(16.0 * float(np.max(np.abs(z), initial=0.0)))[1] + 1) // 2)
+    z = z * 0.25**doublings
+    coshm1 = np.full_like(z, _COSHM1_TAYLOR[0])
+    sinhc = np.full_like(z, _SINHC_TAYLOR[0])
+    for a, b in zip(_COSHM1_TAYLOR[1:], _SINHC_TAYLOR[1:]):
+        coshm1 *= z
+        coshm1 += a
+        sinhc *= z
+        sinhc += b
+    coshm1 *= z
+    for _ in range(doublings):
+        coshm1, sinhc = 2.0 * z * sinhc * sinhc, sinhc * (1.0 + coshm1)
+        z = 4.0 * z
+    return 1.0 + coshm1, sinhc
+
+
+def _magnus(c, alpha: float, x0, x1, lam, scale=1.0):
+    """Magnus-4 transfer matrices of y'' = (c x^a - lam) y from x0 to x1.
+
+    Two-point Gauss Magnus step: with q1, q2 the potential at the Gauss
+    points in the direction of travel and h = x1 - x0 (negative inward),
+    Omega = [[d, h], [h qbar, -d]], d = (sqrt3/12) h^2 (q1 - q2), and
+    exp(Omega) = cosh(mu) I + sinh(mu)/mu Omega with mu^2 = d^2 + h^2 qbar.
+    x0, x1 and lam broadcast against each other; scale multiplies every
+    matrix.  Returns the entries (m11, m12, m21, m22) mapping (y, y') at x0
+    to (y, y') at x1; each step has determinant scale^2.
+    """
+    h = x1 - x0
+    mid = 0.5 * (x0 + x1)
+    cq1 = c * (mid - _GAUSS_OFFSET * h) ** alpha
+    cq2 = c * (mid + _GAUSS_OFFSET * h) ** alpha
+    d = (0.5 * _GAUSS_OFFSET) * (h * h) * (cq1 - cq2)  # sqrt3/12; lam cancels
+    hq = h * (0.5 * (cq1 + cq2) - lam)
+    cosh, sinhc = _cosh_sinhc(d * d + h * hq)
+    cosh *= scale
+    sinhc *= scale
+    sd = sinhc * d
+    return cosh + sd, sinhc * h, sinhc * hq, cosh - sd
+
+
+def _graded(x1: float) -> np.ndarray:
+    """Nodes from x1 down to 0, geometric with ratio 0.7 to below 1e-7.
+
+    x^a is only Holder at the origin for a < 1; shrinking intervals keep
+    the Magnus error there at the level of the uniform mesh.
+    """
+    count = max(1, int(math.ceil(math.log(1e-7 / x1) / math.log(0.7))))
+    return np.append(x1 * 0.7 ** np.arange(count + 1), 0.0)
+
+
+def _guard(values: np.ndarray) -> np.ndarray:
+    top = np.max(np.abs(values), initial=0.0)
+    if not top <= _OVERFLOW_BOUND:
+        raise OverflowGuardError("shooting amplitude is non-finite or exceeded 1e300")
+    return values
+
+
+def _shoot_many(c: complex, alpha: float, lams: np.ndarray, X: float) -> np.ndarray:
     """Renormalized y(0; lambda) for a batch of spectral parameters.
 
-    Outer stage integrates w = y exp(+phi) (phi(x) = 2/(a+2) c^{1/2} x^{(a+2)/2})
-    from X down to x_s = min(1, X/2); the w equation
-    w'' = 2 c^{1/2} x^{a/2} w' + ((a/2) c^{1/2} x^{a/2 - 1} - lambda) w
-    has no exponential growth left in it.  The inner stage integrates the
-    plain equation to the origin; for alpha < 1 the last stretch
-    [0, 0.01] uses fixed 1e-4 steps because x^alpha is only Holder there
-    and adaptive controllers misjudge the local error.
+    Chains Magnus transfer matrices from the WKB seed at X down to 0 on a
+    fixed mesh x = X s^{3/2}, s uniform with 4000 intervals: intervals
+    shrink like x^{1/3} toward the origin, where x^a is only Holder for
+    a < 1 and the low modes oscillate.  Each interval carries the
+    lambda-independent factor exp(-|h| sqrt(c) x_mid^{a/2}), which cancels
+    the dominant WKB growth so amplitudes stay in range while the proxy
+    remains entire in lambda.  Work runs in blocks of about 4096
+    (interval, lambda) pairs, at most 512 lambdas wide so that every block
+    spans 8 or more intervals; inside a block the matrices are multiplied
+    pairwise in log depth.
     """
     c = complex(c)
-    sqrt_c = cmath.sqrt(c)
-    lams = np.asarray(lams, dtype=complex).reshape(-1)
-    k = len(lams)
-    half_exp = 0.5 * alpha
+    lams = np.asarray(lams).reshape(-1)
+    if c.imag == 0.0 and np.isrealobj(lams):
+        c = c.real  # real coupling and parameters: real arithmetic throughout
+    xs = X * np.linspace(1.0, 0.0, 4001) ** 1.5
+    x0, x1 = xs[:-1, None], xs[1:, None]
+    decay = np.exp(-(x0 - x1) * c**0.5 * (0.5 * (x0 + x1)) ** (0.5 * alpha))
 
-    x_switch = min(1.0, 0.5 * X)
-
-    def w_field(z, state):
-        x = z.real
-        xa = x**half_exp
-        out = np.empty_like(state)
-        out[0] = state[1]
-        out[1] = (2.0 * sqrt_c * xa) * state[1] + ((0.5 * alpha) * sqrt_c * (xa / x) - lams) * state[0]
-        return out
-
-    def y_field(z, state):
-        x = max(z.real, 0.0)  # roundoff can put the last abscissa at -eps
-        out = np.empty_like(state)
-        out[0] = state[1]
-        out[1] = (c * x**alpha - lams) * state[0]
-        return out
-
-    # seed (w, w') = (X^{-a/4}, 0): the WKB pair with its exponential removed
-    state = np.vstack(
-        (np.full(k, X ** (-0.25 * alpha), dtype=complex), np.zeros(k, dtype=complex))
-    )
-    state = integrate_ode_contour(
-        w_field, state, Contour([X, x_switch]), rtol, scale=_pair_scale
-    )
-    # convert back to (y, y') up to the constant exp(+phi(X)) normalization
-    phi_prime = sqrt_c * x_switch**half_exp
-    state = np.vstack((state[0], state[1] - phi_prime * state[0]))
-
-    x_edge = _NEAR_ORIGIN_EDGE if alpha < 1.0 else 0.0
-    if x_switch > x_edge:
-        state = integrate_ode_contour(
-            y_field, state, Contour([x_switch, x_edge]), rtol, scale=_pair_scale
-        )
-    if x_edge > 0.0:
-        # fixed small steps over the Holder stretch
-        nsteps = int(round(x_edge / _NEAR_ORIGIN_STEP))
-
-        def rhs(s, flat):
-            # marching inward: x = x_edge - s, so dstate/ds = -F(x, state)
-            st = flat.reshape(2, k)
-            x = x_edge - s
-            if x < 0.0:
-                x = 0.0
-            y, yp = st[0], st[1]
-            return -np.concatenate((yp, (c * x**alpha - lams) * y))
-
-        flat = state.reshape(-1)
-        s = 0.0
-        k1 = rhs(s, flat)
-        for _ in range(nsteps):
-            flat, _err, k1 = _dp_step(rhs, s, flat, x_edge / nsteps, k1)
-            s += x_edge / nsteps
-        state = flat.reshape(2, k)
-    return state[0].copy()
+    out = np.empty(len(lams), dtype=complex)
+    for j in range(0, len(lams), 512):
+        lam = lams[None, j : j + 512]
+        # the WKB pair at X with the common exponential factor dropped
+        y = np.full(lam.shape[1], X ** (-0.25 * alpha), dtype=complex)
+        yp = np.full(lam.shape[1], -cmath.sqrt(c) * X ** (0.25 * alpha), dtype=complex)
+        rows = 4096 // lam.shape[1]
+        for i in range(0, len(x0), rows):
+            m = _magnus(c, alpha, x0[i : i + rows], x1[i : i + rows], lam, decay[i : i + rows])
+            while len(m[0]) > 1:
+                m = _pair_products(m)
+            a, b, cc, d = (e[0] for e in m)
+            y, yp = a * y + b * yp, cc * y + d * yp
+        out[j : j + 512] = _guard(y)
+    return out
 
 
-def spectral_det(spec: OperatorSpec, lam: complex, rtol: float = 1e-12) -> complex:
+def _pair_products(m):
+    """Products of consecutive matrices (later @ earlier), halving the count."""
+    a, b, c, d = m
+    n = len(a) // 2 * 2
+    a0, b0, c0, d0 = a[0:n:2], b[0:n:2], c[0:n:2], d[0:n:2]
+    a1, b1, c1, d1 = a[1:n:2], b[1:n:2], c[1:n:2], d[1:n:2]
+    prod = (a1 * a0 + b1 * c0, a1 * b0 + b1 * d0, c1 * a0 + d1 * c0, c1 * b0 + d1 * d0)
+    if n == len(a):
+        return prod
+    return tuple(np.concatenate((p, e[n:])) for p, e in zip(prod, m))
+
+
+def spectral_det(spec: OperatorSpec, lam: complex) -> complex:
     """Renormalized boundary value y(0; lambda); zero exactly at eigenvalues.
 
     The normalization is a lambda-independent constant, so the returned
@@ -313,7 +345,7 @@ def spectral_det(spec: OperatorSpec, lam: complex, rtol: float = 1e-12) -> compl
         raise ValueError(
             f"truncation X={spec.X:.3f} does not clear the turning point {turning:.3f}"
         )
-    return complex(_shoot_many(spec.c, spec.alpha, np.array([lam]), spec.X, rtol)[0])
+    return complex(_shoot_many(spec.c, spec.alpha, np.array([lam]), spec.X)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -367,7 +399,7 @@ def _real_spectrum_cached(
         raise ValueError(f"X={X} below the safe truncation {x_needed:.3f}")
 
     grid = _bracket_grid(alpha, n_max)
-    vals = _shoot_many(1.0, alpha, grid, X, rtol=1e-8).real
+    vals = _shoot_many(1.0, alpha, grid, X).real
     sign = np.sign(vals)
     idx = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
     if len(idx) < n_max:
@@ -375,32 +407,11 @@ def _real_spectrum_cached(
             f"found {len(idx)} sign changes, need {n_max}; enlarge X or the grid"
         )
     idx = idx[:n_max]
-
-    # coarse refinement at a loose integrator tolerance, then finish tight
-    coarse_tol = max(tol, 1e-5)
     lo, hi = refine_brackets(
-        lambda ts: _shoot_many(1.0, alpha, ts, X, rtol=1e-8).real,
-        grid[idx], grid[idx + 1], vals[idx], vals[idx + 1], coarse_tol,
+        lambda ts: _shoot_many(1.0, alpha, ts, X).real,
+        grid[idx], grid[idx + 1], vals[idx], vals[idx + 1], tol,
     )
-    roots = 0.5 * (lo + hi)
-    if tol >= coarse_tol:
-        return tuple(float(r) for r in roots)
-    los, his = roots - coarse_tol, roots + coarse_tol
-    ends = _shoot_many(1.0, alpha, np.concatenate((los, his)), X, rtol=3e-12).real
-    flo, fhi = ends[: len(roots)], ends[len(roots) :]
-    bad = flo * fhi > 0
-    if np.any(bad):
-        # the loose pass landed outside the true root for these: redo tight
-        los = np.where(bad, grid[idx], los)
-        his = np.where(bad, grid[idx + 1], his)
-        ends = _shoot_many(1.0, alpha, np.concatenate((los, his)), X, rtol=3e-12).real
-        flo, fhi = ends[: len(roots)], ends[len(roots) :]
-    lo, hi = refine_brackets(
-        lambda ts: _shoot_many(1.0, alpha, ts, X, rtol=3e-12).real,
-        los, his, flo, fhi, tol,
-    )
-    roots = 0.5 * (lo + hi)
-    return tuple(float(r) for r in roots)
+    return tuple(float(r) for r in 0.5 * (lo + hi))
 
 
 # ---------------------------------------------------------------------------
@@ -432,7 +443,7 @@ def complex_spectrum(spec: OperatorSpec, n_max: int, tol: float = 1e-9) -> Spect
     seeds = scale_c * t_asym
 
     roots, resid = muller_many(
-        lambda lams: _shoot_many(spec.c, alpha, lams, spec.X, rtol=1e-12), seeds, tol
+        lambda lams: _shoot_many(spec.c, alpha, lams, spec.X), seeds, tol
     )
 
     # scaling-law verification against the real reference spectrum
@@ -472,44 +483,32 @@ def _march_nodes(
     """March y'' = (c x^a - lam) y across the grid, node by node.
 
     Outward (u): u(0) = 0, u'(0) = 1.  Inward (v): WKB pair at X with the
-    common exponential factor dropped.  Fixed Dormand-Prince substeps, two
-    per grid interval, finer (1e-4) on the Holder stretch near the origin
-    when alpha < 1.
+    common exponential factor dropped.  One Magnus step per grid interval,
+    graded sub-intervals in the one that touches the origin; every step has
+    determinant 1, so the Wronskian of u and v is conserved to rounding.
     """
     c, alpha = spec.c, spec.alpha
     xs = spec.grid()
     n = len(xs)
-    out = np.empty((2, n), dtype=complex)
+    path = np.concatenate((xs[:0:-1], _graded(xs[1])[1:]))  # X down to 0
     if inward:
-        order = range(n - 1, 0, -1)
-        state = np.array([spec.X ** (-0.25 * alpha), -cmath.sqrt(c) * spec.X ** (0.25 * alpha)], dtype=complex)
-        out[:, n - 1] = state
+        y, yp = spec.X ** (-0.25 * alpha), -cmath.sqrt(c) * spec.X ** (0.25 * alpha)
     else:
-        order = range(0, n - 1)
-        state = np.array([0.0, 1.0], dtype=complex)
-        out[:, 0] = state
-
-    for i in order:
-        j = i - 1 if inward else i + 1
-        x0, x1 = xs[i], xs[j]
-        span = x1 - x0
-        fine = alpha < 1.0 and min(x0, x1) < _NEAR_ORIGIN_EDGE
-        sub = max(2, int(math.ceil(abs(span) / _NEAR_ORIGIN_STEP))) if fine else 2
-        h = span / sub
-        direction = 1.0 if span > 0 else -1.0
-
-        def rr(s, st):
-            x = x0 + direction * s
-            return direction * np.array(
-                [st[1], (c * max(x, 0.0) ** alpha - lam) * st[0]], dtype=complex
-            )
-
-        s = 0.0
-        k1 = rr(s, state)
-        for _ in range(sub):
-            state, _e, k1 = _dp_step(rr, s, state, abs(h), k1)
-            s += abs(h)
-        out[:, j] = state
+        path = path[::-1]
+        y, yp = 0.0, 1.0
+    ys, yps = [y], [yp]
+    block = 512
+    for i in range(0, len(path) - 1, block):
+        seg = path[i : i + block + 1]
+        for a, b, cc, d in zip(*(e.tolist() for e in _magnus(c, alpha, seg[:-1], seg[1:], lam))):
+            y, yp = a * y + b * yp, cc * y + d * yp
+            ys.append(y)
+            yps.append(yp)
+    out = _guard(np.array((ys, yps), dtype=complex))
+    if not inward:
+        out = out[:, ::-1]
+    # grid nodes sit at path positions 0..n-2 (X down to xs[1]) and at the end
+    out = out[:, np.r_[0 : n - 1, len(path) - 1]][:, ::-1]
     return out[0], out[1]
 
 

@@ -1,22 +1,23 @@
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from wkbspec.errors import BracketError, ConvergenceError, StepUnderflowError
+from wkbspec.errors import BracketError, ConvergenceError, OverflowGuardError
 from wkbspec.numerics import (
     Bracket,
     Contour,
     gamma_fn,
     gauss_legendre,
-    integrate_ode_contour,
     muller_many,
     refine_brackets,
 )
+from wkbspec.spectrum import _cosh_sinhc, _magnus, _shoot_many
 
 
 # ---------------------------------------------------------------------------
@@ -108,53 +109,67 @@ def test_gauss_rejects_single_node_count():
 
 
 # ---------------------------------------------------------------------------
-# contour ODE integration
+# Magnus transfer kernel
 # ---------------------------------------------------------------------------
 
+def _chain(c, alpha, nodes, lams, y, yp):
+    """Apply the kernel's matrices over consecutive nodes, one interval at a time."""
+    m = _magnus(c, alpha, nodes[:-1, None], nodes[1:, None], np.asarray(lams)[None, :])
+    for a, b, cc, d in zip(*m):
+        y, yp = a * y + b * yp, cc * y + d * yp
+    return y, yp
+
+
 def test_ode_exponential():
-    y = integrate_ode_contour(lambda z, y: y, 1.0 + 0j, Contour([0.0, 1.0]), 1e-10)
-    assert abs(y - math.e) < 1e-8
+    # c = 0, lam = -1: y'' = y, where a Magnus step is exact
+    y, yp = _chain(0.0, 1.0, np.array([0.0, 0.4, 1.0]), [-1.0], 1.0, 1.0)
+    assert abs(y[0] - math.e) < 1e-14 and abs(yp[0] - math.e) < 1e-14
 
 
 def test_ode_linear_two_state():
-    field = lambda z, y: np.array([y[1], 0.0 * y[0]])
-    y = integrate_ode_contour(field, np.array([0, 1], dtype=complex), Contour([0.0, 2.5]), 1e-10)
-    assert_allclose(y, [2.5, 1.0], atol=1e-12)
+    y, yp = _chain(0.0, 1.0, np.array([0.0, 2.5]), [0.0], 0.0, 1.0)
+    assert_allclose([y[0], yp[0]], [2.5, 1.0], atol=1e-15)
 
 
-def airy_field(z, y):
-    return np.array([y[1], z * y[0]])
+def test_magnus_airy_ratio_matches_mpmath():
+    # y'' = (x - lam) y: the solution decaying at infinity is Ai(x - lam),
+    # integrated inward from its leading WKB pair at X = 16
+    lams = np.array([1.0, 3.0, 5.0, 2.0 + 1.0j, 4.0 - 0.5j])
+    X = 16.0
+    y, yp = _chain(1.0, 1.0, np.linspace(X, 0.0, 4001), lams, (X - lams) ** -0.25, -((X - lams) ** 0.25))
+    for lam, got in zip(lams, y / yp):
+        want = complex(mpmath.airyai(-lam) / mpmath.airyai(-lam, derivative=1))
+        assert abs(got - want) < 1e-9 * abs(want)
 
 
-def test_ode_airy_two_tolerance_consistency():
-    # integrate y'' = t y inward from the WKB-normalized seed at t = 8
-    t0 = 8.0
-    seed = np.array([t0**-0.25, -(t0**0.25)], dtype=complex)
-    path = Contour([t0, 0.0])
-    tau = 1e-9
-    r1 = integrate_ode_contour(airy_field, seed, path, tau)
-    r2 = integrate_ode_contour(airy_field, seed, path, tau / 100.0)
-    assert abs(r1[0] / r2[0] - 1.0) < 1e-9
-    assert abs(r1[0] - r2[0]) / abs(r2[0]) < 50.0 * tau
+def test_magnus_fourth_order_convergence():
+    # alpha = 2, lam = 3: exact eigenfunction x exp(-x^2/2), so y(0) = 0
+    X = 6.0
+    seed = (X * math.exp(-X * X / 2), (1.0 - X * X) * math.exp(-X * X / 2))
+    errs = []
+    for n in (50, 100, 200, 400):
+        y, yp = _chain(1.0, 2.0, np.linspace(X, 0.0, n + 1), [3.0], *seed)
+        errs.append(abs(y[0] / yp[0]))
+    for coarse, fine in zip(errs[:-1], errs[1:]):
+        assert 14.0 < coarse / fine < 18.0
 
 
-def test_ode_multi_segment_path_matches_direct():
-    y1 = integrate_ode_contour(lambda z, y: 2.0 * z * y, 1.0 + 0j, Contour([0.0, 1.0 + 1.0j]), 1e-12)
-    y2 = integrate_ode_contour(
-        lambda z, y: 2.0 * z * y, 1.0 + 0j, Contour([0.0, 0.3 + 0.1j, 1.0 + 1.0j]), 1e-12
-    )
-    # analytic answer exp(z^2): path independence of an exact ODE
-    assert abs(y1 - cmath.exp((1 + 1j) ** 2)) < 1e-9
-    assert abs(y1 - y2) < 1e-9
+@pytest.mark.parametrize("z", [0.0, 1e-3, -0.05, 1.0, -30.0, 200.0, 3.0 + 4.0j, -50.0 + 10.0j])
+def test_cosh_sinhc_matches_mpmath(z):
+    cosh, sinhc = _cosh_sinhc(np.array([z], dtype=complex))
+    m = mpmath.sqrt(mpmath.mpc(z))
+    want_cosh = complex(mpmath.cosh(m))
+    want_sinhc = complex(mpmath.sinh(m) / m) if z != 0 else 1.0
+    assert abs(cosh[0] - want_cosh) < 1e-14 * abs(want_cosh)
+    assert abs(sinhc[0] - want_sinhc) < 1e-14 * abs(want_sinhc)
 
 
-def test_ode_step_underflow_on_singular_field():
-    # second-order pole on the path: the controller must refuse to cross it
+def test_shoot_overflow_guard():
+    # lam = -1e6 grows like exp(1000 x) inward, far past what the
+    # lambda-independent factor removes
     with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises((StepUnderflowError, ConvergenceError)):
-            integrate_ode_contour(
-                lambda z, y: y / (z - 0.5) ** 2, 1.0 + 0j, Contour([0.0, 1.0]), 1e-10
-            )
+        with pytest.raises(OverflowGuardError):
+            _shoot_many(1.0, 2.0, np.array([-1e6]), 10.0)
 
 
 # ---------------------------------------------------------------------------

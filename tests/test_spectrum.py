@@ -1,6 +1,7 @@
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -127,6 +128,13 @@ def test_real_spectrum_rejects_small_truncation():
         real_spectrum(2.0, 3, X=2.0)
 
 
+def test_real_spectrum_alpha1_airy_zeros():
+    # independent oracle: t_n = -a_n, the zeros of Ai
+    ts = real_spectrum(1.0, 20)
+    for n, t in enumerate(ts, start=1):
+        assert abs(t + float(mpmath.airyaizero(n))) < 1e-9
+
+
 def test_asymptotic_trend_alpha1():
     ts = real_spectrum(1.0, 20)
     dev = [abs(t / t_asymptotic(n, 1.0) - 1.0) for n, t in enumerate(ts, start=1)]
@@ -210,13 +218,15 @@ def test_complex_spectrum_alpha2_real_coupling():
 
 
 def test_complex_spectrum_rotation():
-    spec = OperatorSpec.for_modes(1j, ALPHA_23, 4)
-    res = complex_spectrum(spec, 3)
-    for lam in res.eigenvalues:
-        assert abs(cmath.phase(lam) - 0.75 * (math.pi / 2.0)) < 1e-6
-    # t strictly increasing and positive
-    assert all(t > 0 for t in res.t_values)
-    assert all(b > a for a, b in zip(res.t_values[:-1], res.t_values[1:]))
+    # arg c = 2.05 lies past pi/2 + theta0 ~ 1.89, the paper's sector edge
+    for c in (1j, cmath.exp(2.05j)):
+        spec = OperatorSpec.for_modes(c, ALPHA_23, 4)
+        res = complex_spectrum(spec, 3)
+        for lam in res.eigenvalues:
+            assert abs(cmath.phase(lam) - 0.75 * cmath.phase(c)) < 1e-6
+        # t strictly increasing and positive
+        assert all(t > 0 for t in res.t_values)
+        assert all(b > a for a, b in zip(res.t_values[:-1], res.t_values[1:]))
 
 
 def test_complex_spectrum_simplicity_separation():
