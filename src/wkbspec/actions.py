@@ -4,11 +4,15 @@ closed forms used to cross-check them.
 
 The square root of P is multivalued; every routine here carries an explicit
 continuous argument of P along the contour ("sheet phase") instead of
-trusting any principal branch.  Turning points (the zeros of P) are the
-branch points: interior path points must keep a distance of at least
-TURNING_POINT_CLEARANCE from them, while contour endpoints may sit exactly
-on a turning point, in which case graded quadrature panels absorb the
-integrable sqrt singularity.
+trusting any principal branch.  Along each straight chord the phase follows
+one exact rule (_chord_arg, also used by wkbspec.stokes): for P = k (z - t1)
+(z - t2), arg P changes by the sum of the principal arguments of
+(z - t_j)/(a - t_j), with no subdivision.  Turning points (the zeros of P)
+are the branch points: interior path points must keep a distance of at
+least TURNING_POINT_CLEARANCE from them, while contour endpoints may sit
+exactly on a turning point, in which case graded quadrature panels absorb
+the integrable sqrt singularity.  The panels of a segment are evaluated as
+one array.
 """
 
 from __future__ import annotations
@@ -16,7 +20,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import List, Tuple
 
 import numpy as np
@@ -33,7 +36,7 @@ __all__ = [
 ]
 
 TURNING_POINT_CLEARANCE = 1e-8
-_MAX_SUBDIVISION_DEPTH = 40
+_ON_TP = 1e-12  # an endpoint this close to a turning point sits on it
 _GRADING_FACTOR = 4.0
 _GRADING_DEPTH = 20
 _PANEL_NODES = 32
@@ -89,7 +92,7 @@ class PotentialQuadratic:
 
 
 # ---------------------------------------------------------------------------
-# phase tracking
+# the sheet of sqrt(P) along a chord
 # ---------------------------------------------------------------------------
 
 def _unwrap(raw: float, ref: float) -> float:
@@ -120,21 +123,53 @@ def _check_clearance(pot: PotentialQuadratic, path: Contour):
             )
 
 
-def _track_phase_between(pot, z0, phase0, z1, depth=0):
-    """Continuous arg P from z0 (known phase) to z1 along the straight chord.
+def _on_turning_point(pot: PotentialQuadratic, z: complex):
+    """The turning point that z sits on, or None."""
+    return next((tp for tp in pot.turning_points() if abs(z - tp) < _ON_TP), None)
 
-    Subdivides until each hop changes the argument by less than pi/2.
-    Returns the phase at z1.
+
+def _chord_arg(pot: PotentialQuadratic, a: complex, b: complex, z):
+    """Continuous change of arg P from a to the points z of the chord [a, b].
+
+    With P = k (z - t1)(z - t2), each ratio r_j = (z - t_j)/(a - t_j) runs
+    along a line that starts at 1 and meets the negative real axis only if
+    the chord passes through t_j.  So the change is exactly sum_j Arg r_j,
+    with principal arguments and no subdivision.  A turning point at a is
+    measured against the chord direction b - a, which fixes the argument of
+    its factor along the whole chord; at z = b on a turning point the factor
+    takes its chord limit 0 (the argument of a computed zero is arbitrary).
     """
-    raw = cmath.phase(pot(z1))
-    cand = _unwrap(raw, phase0)
-    if abs(cand - phase0) < 0.5 * math.pi:
-        return cand
-    if depth >= _MAX_SUBDIVISION_DEPTH:
-        raise PhaseTrackingError("phase subdivision exceeded maximum depth")
-    zm = 0.5 * (z0 + z1)
-    pm = _track_phase_between(pot, z0, phase0, zm, depth + 1)
-    return _track_phase_between(pot, zm, pm, z1, depth + 1)
+    atan2 = np.arctan2 if isinstance(z, np.ndarray) else math.atan2  # numpy is slow on scalars
+    total = 0.0
+    for tp in pot.turning_points():
+        r = (z - tp) / (b - a if abs(a - tp) < _ON_TP else a - tp)
+        arg = atan2(r.imag, r.real)
+        if abs(b - tp) < _ON_TP:
+            arg = np.where(z == b, 0.0, arg)
+        total = total + arg
+    return total
+
+
+def _start_arg(pot: PotentialQuadratic, a: complex, b: complex, initial_arg: float) -> float:
+    """arg P at the start of the chord [a, b] on the sheet initial_arg picks.
+
+    An ordinary start snaps arg P(a) to initial_arg by whole turns and rejects
+    an anchor pi/2 or more off, which picks neither sheet.  A turning-point
+    start takes the one-sided limit arg P'(t) + arg(b - a) at the nearest
+    turn; only a path that reverses through the turning point is ambiguous.
+    """
+    tp = _on_turning_point(pot, a)
+    if tp is None:
+        raw, limit = cmath.phase(pot(a)), 0.5 * math.pi
+    else:
+        raw, limit = cmath.phase(pot.slope_at(tp)) + cmath.phase(b - a), math.pi - 1e-9
+    phase = _unwrap(raw, initial_arg)
+    if abs(phase - initial_arg) >= limit:
+        raise PhaseTrackingError(
+            f"initial arg P {initial_arg:.6g} picks no sheet of sqrt(P) at {a}:"
+            f" the nearest arg P there is {phase:.6g}"
+        )
+    return phase
 
 
 # ---------------------------------------------------------------------------
@@ -165,32 +200,33 @@ def _graded_breakpoints(a: complex, b: complex, grade_a: bool, grade_b: bool):
     return [a, b]
 
 
-def _action_over_segment(pot, a, b, phase_in):
-    """(integral of sqrt(P), phase at b) over one straight segment."""
-    tps = pot.turning_points()
-    grade_a = any(abs(a - tp) < 1e-12 for tp in tps)
-    grade_b = any(abs(b - tp) < 1e-12 for tp in tps)
-    breaks = _graded_breakpoints(a, b, grade_a, grade_b)
+def _graded_quad(f, a, b, grade_a: bool, grade_b: bool):
+    """Integral of f over [a, b] on the graded panels, all nodes in one array.
+
+    f maps a (panels, _PANEL_NODES) array of nodes to values.
+    """
+    p = np.array(_graded_breakpoints(a, b, grade_a, grade_b))
     x, w = _leggauss(_PANEL_NODES)
-    total = 0.0 + 0.0j
-    phase = phase_in
-    z_ref = a
-    for p, q in zip(breaks[:-1], breaks[1:]):
-        mid = 0.5 * (p + q)
-        half = 0.5 * (q - p)
-        nodes = mid + half * x
-        vals = np.empty(len(nodes), dtype=complex)
-        for i, z in enumerate(nodes):
-            phase = _track_phase_between(pot, z_ref, phase, z)
-            vals[i] = math.sqrt(abs(pot(z))) * cmath.exp(0.5j * phase)
-            z_ref = z
-        total += half * np.sum(w * vals)
-    if not grade_b and abs(b - z_ref) > 1e-15:
-        phase = _track_phase_between(pot, z_ref, phase, b)
-    # when b is a turning point the phase reported is the one-sided limit
-    # along the path: arg P is constant along the straight ray into the
-    # zero up to O(|z - tp|), and z_ref is within the innermost panel
-    return total, phase
+    mid, half = 0.5 * (p[1:] + p[:-1]), 0.5 * (p[1:] - p[:-1])
+    return np.sum(half * (f(mid[:, None] + half[:, None] * x) @ w))
+
+
+def _action_over_segment(pot, a, b, phase_in):
+    """(integral of sqrt(P), arg P at b) over one straight segment.
+
+    When b is a turning point the phase reported is the one-sided limit
+    along the segment.
+    """
+    phase_a = _start_arg(pot, a, b, phase_in)
+
+    def sqrt_p(z):
+        phase = phase_a + _chord_arg(pot, a, b, z)
+        return np.sqrt(np.abs(pot(z))) * np.exp(0.5j * phase)
+
+    grade_a = _on_turning_point(pot, a) is not None
+    grade_b = _on_turning_point(pot, b) is not None
+    total = _graded_quad(sqrt_p, a, b, grade_a, grade_b)
+    return complex(total), phase_a + float(_chord_arg(pot, a, b, b))
 
 
 def action_with_phase(
@@ -241,25 +277,6 @@ def segment_integral_closed(tau: float) -> complex:
     )
 
 
-@lru_cache(maxsize=8)
-def _graded_unit_breakpoints(depth: int):
-    pts = [_GRADING_FACTOR ** float(-k) for k in range(depth, 0, -1)]
-    return tuple([0.0] + pts + [1.0])
-
-
-def _quad_graded_zero(f, upper: float) -> float:
-    """Integral of f over [0, upper] with panels graded toward 0."""
-    if upper == 0.0:
-        return 0.0
-    x, w = _leggauss(_PANEL_NODES)
-    total = 0.0
-    for p, q in zip(_graded_unit_breakpoints(_GRADING_DEPTH)[:-1], _graded_unit_breakpoints(_GRADING_DEPTH)[1:]):
-        a, b = p * upper, q * upper
-        mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        total += half * float(np.sum(w * f(mid + half * x)))
-    return total
-
-
 def half_line_integral_split(x: float) -> Tuple[float, float]:
     """(Re, Im) of int_0^x sqrt(t^2 - i t) dt via the explicit real split.
 
@@ -278,4 +295,4 @@ def half_line_integral_split(x: float) -> Tuple[float, float]:
     def f_im(t):
         return np.sqrt(np.maximum((t * np.sqrt(t * t + 1.0) - t * t) / 2.0, 0.0))
 
-    return _quad_graded_zero(f_re, x), -_quad_graded_zero(f_im, x)
+    return float(_graded_quad(f_re, 0.0, x, True, False)), -float(_graded_quad(f_im, 0.0, x, True, False))

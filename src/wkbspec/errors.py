@@ -14,7 +14,11 @@ class BracketError(ValueError):
 
 
 class PhaseTrackingError(NumericsError):
-    """Branch-continuous argument tracking could not be refined further."""
+    """An anchor phase picks no sheet of sqrt(P) at the start of a path.
+
+    Raised when the anchor is pi/2 or more off arg P at an ordinary start, or
+    when a path reverses straight through a turning point.
+    """
 
 
 class TurningPointError(ValueError):

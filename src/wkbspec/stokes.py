@@ -7,7 +7,9 @@ three analytically known directions (separated by 2*pi/3).  The tracer
 follows the level set of Re S with a tangent predictor (the direction along
 which sqrt(P) dz is purely imaginary) and a Newton corrector that projects
 back onto Re S = 0, accumulating S incrementally so the conservation
-invariant |Re S| stays at roundoff level.
+invariant |Re S| stays at roundoff level.  The tracer carries arg P and
+continues it along each step's chord with the exact chord rule of
+wkbspec.actions, so every sqrt(P) it uses lies on one sheet.
 """
 
 from __future__ import annotations
@@ -19,9 +21,9 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .actions import PotentialQuadratic, _track_phase_between, action
+from .actions import PotentialQuadratic, _chord_arg, action
 from .errors import TracingError
-from .numerics import Contour, _leggauss
+from .numerics import Contour, refine_brackets
 
 __all__ = [
     "CrossingCheck",
@@ -122,13 +124,14 @@ def _other_turning_point(pot: PotentialQuadratic, tp: complex) -> complex:
 # tracing
 # ---------------------------------------------------------------------------
 
-_G3_X, _G3_W = np.polynomial.legendre.leggauss(3)
+# Python floats: arithmetic on numpy scalars would dominate the step cost
+_G3_X, _G3_W = (v.tolist() for v in np.polynomial.legendre.leggauss(3))
 
 
-def _cont_sqrt(pot, z, w_ref):
-    """sqrt(P(z)) on the sheet continuous with the reference value."""
-    w = cmath.sqrt(pot(z))
-    return w if abs(w - w_ref) <= abs(w + w_ref) else -w
+def _continue(pot, z0, phase0, z1):
+    """(sqrt(P), arg P) at z1, continued along the chord from arg P = phase0 at z0."""
+    phase = phase0 + float(_chord_arg(pot, z0, z1, z1))
+    return cmath.rect(math.sqrt(abs(pot(z1))), 0.5 * phase), phase
 
 
 def _tangent(w, prev_dir):
@@ -139,16 +142,14 @@ def _tangent(w, prev_dir):
     return t
 
 
-def _segment_increment(pot, z0, w0, z1):
-    """3-point Gauss increment of S over [z0, z1] with branch continuity."""
+def _segment_increment(pot, z0, phase0, z1):
+    """3-point Gauss increment of S over [z0, z1] on the sheet continued from z0."""
     mid = 0.5 * (z0 + z1)
     half = 0.5 * (z1 - z0)
     total = 0.0j
-    w_ref = w0
     for xk, wk in zip(_G3_X, _G3_W):
-        w_ref = _cont_sqrt(pot, mid + half * xk, w_ref)
-        total += wk * w_ref
-    return half * total, _cont_sqrt(pot, z1, w_ref)
+        total += wk * _continue(pot, z0, phase0, mid + half * xk)[0]
+    return half * total
 
 
 def trace_stokes_curve(
@@ -180,23 +181,19 @@ def trace_stokes_curve(
     capture_radius = 10.0 * step0
 
     z = tp + _LAUNCH_DISTANCE * scale * cmath.exp(1j * phi)
-    s_acc = action(pot, Contour([tp, z]), cmath.phase(pot(z)))
+    phase = cmath.phase(pot(z))
+    s_acc = action(pot, Contour([tp, z]), phase)
     w = cmath.sqrt(pot(z))
-    direction = cmath.exp(1j * phi)
-    t0 = _tangent(w, direction)
-    # orient sqrt branch so the tangent formula tracks the outgoing direction
-    if (t0 * direction.conjugate()).real < 0.0:
-        w = -w
-        t0 = _tangent(w, direction)
+    t0 = _tangent(w, cmath.exp(1j * phi))
     # tiny Newton cleanup of the launch point
     for _ in range(3):
         slope = (w * (1j * t0)).real
         if abs(slope) < 1e-30:
             break
         dz = -s_acc.real / slope * (1j * t0)
-        z += dz
         s_acc += w * dz
-        w = _cont_sqrt(pot, z, w)
+        w, phase = _continue(pot, z, phase, z + dz)
+        z += dz
 
     points = [tp, z]
     arclen = abs(z - tp)
@@ -209,11 +206,10 @@ def trace_stokes_curve(
     while arclen < max_arclen:
         t_here = _tangent(w, prev_dir)
         zm = z + 0.5 * h * t_here
-        wm = _cont_sqrt(pot, zm, w)
-        t_mid = _tangent(wm, t_here)
+        t_mid = _tangent(cmath.sqrt(pot(zm)), t_here)  # a tangent is the same on both sheets
         z_new = z + h * t_mid
-        ds, w_new = _segment_increment(pot, z, w, z_new)
-        s_new = s_acc + ds
+        s_new = s_acc + _segment_increment(pot, z, phase, z_new)
+        w_new, phase_new = _continue(pot, z, phase, z_new)
         t_new = _tangent(w_new, t_mid)
         # Newton projection onto Re S = 0 along the normal
         ok = True
@@ -227,9 +223,9 @@ def trace_stokes_curve(
             if abs(delta) > 0.1 * h:
                 ok = False
                 break
-            z_new += delta * n_hat
             s_new += w_new * delta * n_hat
-            w_new = _cont_sqrt(pot, z_new, w_new)
+            w_new, phase_new = _continue(pot, z_new, phase_new, z_new + delta * n_hat)
+            z_new += delta * n_hat
             t_new = _tangent(w_new, t_mid)
             if abs(s_new.real) < 1e-12 * max(1.0, abs(s_new.imag)):
                 break
@@ -247,7 +243,7 @@ def trace_stokes_curve(
         fails = 0
         points.append(z_new)
         arclen += abs(z_new - z)
-        z, w, s_acc, prev_dir = z_new, w_new, s_new, t_new
+        z, w, phase, s_acc, prev_dir = z_new, w_new, phase_new, s_new, t_new
         if abs(z - other) < capture_radius:
             terminal = TO_TURNING_POINT
             reaches = other
@@ -394,12 +390,12 @@ def ray_extremum(gamma: float, psi: float) -> Optional[Tuple[float, float]]:
 def numerical_ray_extremum(
     psi: float, gamma: float, tau_hi: float = 3.0, tol: float = 1e-11
 ) -> Optional[float]:
-    """Locate the extremum of Re S along the ray by golden-section search.
+    """Locate the extremum of Re S along the ray by a root of its slope.
 
     Independent of the closed-form ray_extremum: evaluates the action from
-    the origin to tau * e^{i(gamma - psi)} by branch-tracked quadrature,
-    finds an interior extremum bracket on a scan, then contracts it.
-    Returns None when the scan sees no interior extremum (monotone case).
+    the origin to tau * e^{i(gamma - psi)} by branch-tracked quadrature and
+    finds an interior extremum bracket on a scan.  Returns None when the
+    scan sees no interior extremum (monotone case).
     """
     pot = PotentialQuadratic.z_form(psi)
     d = cmath.exp(1j * (gamma - psi))
@@ -414,52 +410,24 @@ def numerical_ray_extremum(
     i_max = max(range(len(vals)), key=vals.__getitem__)
     i_min = min(range(len(vals)), key=vals.__getitem__)
     if 0 < i_max < len(vals) - 1:
-        idx, sign = i_max, -1.0
+        idx = i_max
     elif 0 < i_min < len(vals) - 1:
-        idx, sign = i_min, 1.0
+        idx = i_min
     else:
         return None
-    a, b = taus[idx - 1], taus[idx + 1]
-    # bisect d(Re S)/d tau = Re(sqrt(P) * direction) on the scan bracket: a
-    # value-based search alone is limited to sqrt(eps/|S''|) and the
-    # extremum can be nearly flat close to the regime boundaries
-    phase_a = _track_phase_between(pot, 1e-9 * d, anchor, a * d)
 
-    def slope(tau: float, ref_tau: float, ref_phase: float):
-        ph = _track_phase_between(pot, ref_tau * d, ref_phase, tau * d)
-        w = math.sqrt(abs(pot(tau * d))) * cmath.exp(0.5j * ph)
-        return (w * d).real, ph
+    # the extremum is the root of d(Re S)/d tau = Re(sqrt(P) * direction): a
+    # value-based search alone is limited to sqrt(eps/|S''|) and the extremum
+    # can be nearly flat close to the regime boundaries
+    def slope(tau):
+        z = tau * d
+        phase = anchor + _chord_arg(pot, 0.0, tau_hi * d, z)
+        return (np.sqrt(np.abs(pot(z))) * np.exp(0.5j * phase) * d).real
 
-    ga, _ = slope(a, a, phase_a)
-    gb, _ = slope(b, a, phase_a)
-    if ga * gb < 0.0:
-        ref_tau, ref_phase = a, phase_a
-        for _ in range(80):
-            if b - a <= tol:
-                break
-            m = 0.5 * (a + b)
-            gm, ref_phase = slope(m, ref_tau, ref_phase)
-            ref_tau = m
-            if ga * gm <= 0.0:
-                b = m
-            else:
-                a, ga = m, gm
-        return 0.5 * (a + b)
-    # fallback: golden-section on the values
-    invphi = 0.5 * (math.sqrt(5.0) - 1.0)
-    c1 = b - invphi * (b - a)
-    c2 = a + invphi * (b - a)
-    f1, f2 = sign * f(c1), sign * f(c2)
-    while b - a > tol:
-        if f1 < f2:
-            b, c2, f2 = c2, c1, f1
-            c1 = b - invphi * (b - a)
-            f1 = sign * f(c1)
-        else:
-            a, c1, f1 = c1, c2, f2
-            c2 = a + invphi * (b - a)
-            f2 = sign * f(c2)
-    return 0.5 * (a + b)
+    ends = np.array([taus[idx - 1], taus[idx + 1]])
+    g = slope(ends)
+    (lo,), (hi,) = refine_brackets(slope, ends[:1], ends[1:], g[:1], g[1:], tol)
+    return 0.5 * (lo + hi)
 
 
 def _ray_polyline_crossings(direction: complex, curve: StokesCurve, r_min: float):

@@ -123,6 +123,28 @@ def test_inconsistent_anchor_phase_rejected():
         action_with_phase(pot, Contour([2.0, 2.5]), cmath.phase(pot(2.0)) + math.pi)
 
 
+def test_reversal_through_turning_point_rejected():
+    # a path that runs straight through a turning point can pass it on
+    # either side; no sheet is picked, so the continuation must refuse
+    from wkbspec.errors import PhaseTrackingError
+
+    pot = PotentialQuadratic.z_form(0.0)
+    with pytest.raises(PhaseTrackingError):
+        action_with_phase(pot, Contour([-1.0, 0.0, 1.0]), cmath.phase(pot(-1.0)))
+
+
+@pytest.mark.parametrize("t", [0.0, 1.0])
+@pytest.mark.parametrize("psi", [0.0, 1.3])
+@pytest.mark.parametrize("a", [2 + 1j, -0.5 + 0.7j, 0.3 - 1.2j, 1.5 - 0.2j])
+def test_phase_at_turning_point_end(t, psi, a):
+    # arriving on a turning point t along [a, t], P ~ P'(t) (z - t), so the
+    # one-sided limit of arg P is arg P'(t) + arg(a - t)
+    pot = PotentialQuadratic.z_form(psi)
+    _, phase = action_with_phase(pot, Contour([a, t]), cmath.phase(pot(a)))
+    expected = cmath.phase(pot.slope_at(t)) + cmath.phase(a - t)
+    assert abs(math.remainder(phase - expected, 2.0 * math.pi)) < 1e-12
+
+
 def test_segment_closed_rejects_negative():
     with pytest.raises(ValueError):
         segment_integral_closed(-0.1)

@@ -179,6 +179,13 @@ def test_ray_extremum_monotone_regime():
     assert ray_extremum(GAMMA, 2.0 * math.pi - 3.0 * GAMMA) is None
 
 
+@pytest.mark.parametrize("psi", [math.pi, 2.0 * math.pi - 3.0 * GAMMA - 0.05])
+def test_numerical_ray_extremum_monotone_regime(psi):
+    # regime 2: Re S is monotone along the ray, the scan finds no extremum
+    assert ray_extremum(GAMMA, psi) is None
+    assert numerical_ray_extremum(psi, GAMMA) is None
+
+
 def test_ray_extremum_formula_value():
     tau0, beta0 = ray_extremum(GAMMA, math.pi / 16.0)
     assert tau0 == pytest.approx(math.sin(7.0 * math.pi / 16.0), abs=1e-15)
