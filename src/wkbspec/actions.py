@@ -84,11 +84,16 @@ class PotentialQuadratic:
             return [0.0 + 0.0j, 1.0 + 0.0j]
         return [0.0 + 0.0j, self.mu]
 
-    def slope_at(self, tp: complex) -> complex:
-        """dP/dz at a turning point (both zeros are simple)."""
+    @property
+    def leading(self) -> complex:
+        """The coefficient k in P(z) = k (z - t1)(z - t2)."""
+        return cmath.exp(4j * self.psi) if self.kind == Z_FORM else 1.0 + 0.0j
+
+    def slope_at(self, z: complex) -> complex:
+        """dP/dz at z (both zeros are simple)."""
         if self.kind == Z_FORM:
-            return cmath.exp(4j * self.psi) * (2.0 * tp - 1.0)
-        return 2.0 * tp - self.mu
+            return cmath.exp(4j * self.psi) * (2.0 * z - 1.0)
+        return 2.0 * z - self.mu
 
 
 # ---------------------------------------------------------------------------
@@ -148,6 +153,36 @@ def _chord_arg(pot: PotentialQuadratic, a: complex, b: complex, z):
             arg = np.where(z == b, 0.0, arg)
         total = total + arg
     return total
+
+
+def _closed_action(pot: PotentialQuadratic, tp: complex):
+    """S(z) = int_tp^z sqrt(P) dz in closed form, continued chord by chord.
+
+    With P = k (z - t1)(z - t2), t1 = tp, m = (t1 + t2)/2, a = (t2 - t1)/2
+    and u = z - m, S = u q / 2 - (sqrt(k) a^2 / 2) L, where q = sqrt(P) and
+    L = log((u + q / sqrt(k)) / (t1 - m)); so S(t1) = 0.  Returns
+    at(z0, phase0, log0, z) -> (S, q, arg P, L) at z, with arg P continued
+    along the chord from arg P = phase0 at z0 and L from log0 by whole
+    multiples of 2 pi i (u + q / sqrt(k) never vanishes: its product with
+    u - q / sqrt(k) is a^2).  From z0 = tp, phase0 is the one-sided limit
+    arg P'(tp) + arg(z - tp) and log0 = 0.
+    """
+    t1, t2 = sorted(pot.turning_points(), key=lambda t: abs(t - tp))
+    k = pot.leading
+    root_k = cmath.sqrt(k)
+    m = 0.5 * (t1 + t2)
+    c = -0.5 * root_k * (0.5 * (t2 - t1)) ** 2
+    base = t1 - m
+
+    def at(z0, phase0, log0, z):
+        phase = phase0 + _chord_arg(pot, z0, z, z)
+        q = cmath.rect(math.sqrt(abs(k * (z - t1) * (z - t2))), 0.5 * phase)
+        u = z - m
+        lg = cmath.log((u + q / root_k) / base)
+        lg = complex(lg.real, _unwrap(lg.imag, log0.imag))
+        return 0.5 * u * q + c * lg, q, phase, lg
+
+    return at
 
 
 def _start_arg(pot: PotentialQuadratic, a: complex, b: complex, initial_arg: float) -> float:

@@ -47,6 +47,13 @@ def _parse_complex(text: str) -> complex:
         raise argparse.ArgumentTypeError(f"expected RE,IM, got {text!r}") from exc
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
 def _angle(value: float, degrees: bool) -> float:
     return math.radians(value) if degrees else value
 
@@ -253,7 +260,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("scan", help="tabulate F(theta) on a grid")
     sp.add_argument("--from", dest="lo", type=float, required=True)
     sp.add_argument("--to", dest="hi", type=float, required=True)
-    sp.add_argument("--steps", type=int, required=True)
+    sp.add_argument("--steps", type=_positive_int, required=True)
     sp.add_argument("--degrees", action="store_true")
     sp.add_argument("--out", default=None)
     sp.set_defaults(func=_cmd_scan)
@@ -284,7 +291,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=_cmd_resolvent)
 
     sp = sub.add_parser("verify", help="threshold identities plus the geometric sweep")
-    sp.add_argument("--per-regime", type=int, default=50)
+    sp.add_argument("--per-regime", type=_positive_int, default=50)
     sp.add_argument("--gamma", type=float, default=math.pi / 8.0)
     sp.add_argument("--degrees", action="store_true")
     sp.add_argument("--out", default=None)

@@ -16,6 +16,7 @@ from functools import lru_cache
 from typing import Callable, Sequence, Tuple
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 
 from .errors import BracketError, ConvergenceError
 
@@ -122,7 +123,7 @@ def gamma_fn(x: float) -> float:
 
 @lru_cache(maxsize=64)
 def _leggauss(n: int):
-    nodes, weights = np.polynomial.legendre.leggauss(n)
+    nodes, weights = leggauss(n)
     return nodes, weights
 
 
@@ -175,7 +176,7 @@ def refine_brackets(
     final (lo, hi) arrays: every bracket still holds a sign change, lies
     inside its initial one and is at most tol wide.
     """
-    if tol <= 0.0:
+    if not tol > 0.0:
         raise ValueError("tol must be positive")
     lo = np.array(lo, dtype=float)
     hi = np.array(hi, dtype=float)
@@ -246,7 +247,7 @@ def muller_many(
     Returns (roots, scaled_residuals); raises ConvergenceError when a lane
     has not converged after max_iter rounds.
     """
-    if tol <= 0.0:
+    if not tol > 0.0:
         raise ValueError("tol must be positive")
     seeds = np.atleast_1d(np.asarray(seeds, dtype=complex))
     k = len(seeds)

@@ -382,7 +382,7 @@ def real_spectrum(
     """
     if n_max < 1:
         raise ValueError("n_max must be positive")
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be positive")
     return list(_real_spectrum_cached(float(alpha), int(n_max), X, float(tol)))
 
@@ -426,7 +426,7 @@ def complex_spectrum(spec: OperatorSpec, n_max: int, tol: float = 1e-9) -> Spect
     spectrum to relative 1e-6 (the scaling law is exact, so a violation is
     an implementation-bug signal, not a physical possibility).
     """
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be positive")
     alpha = spec.alpha
     t_top = 1.3 * t_asymptotic(n_max, alpha)

@@ -3,13 +3,14 @@ Re S = 0 emanating from turning points, assembling the two Stokes
 complexes, and classifying how the ray at angle gamma - psi meets them.
 
 A Stokes curve launched from a simple turning point tp leaves along one of
-three analytically known directions (separated by 2*pi/3).  The tracer
-follows the level set of Re S with a tangent predictor (the direction along
-which sqrt(P) dz is purely imaginary) and a Newton corrector that projects
-back onto Re S = 0, accumulating S incrementally so the conservation
-invariant |Re S| stays at roundoff level.  The tracer carries arg P and
-continues it along each step's chord with the exact chord rule of
-wkbspec.actions, so every sqrt(P) it uses lies on one sheet.
+three analytically known directions (separated by 2*pi/3).  The action S
+from tp has a closed form for a quadratic P (wkbspec.actions), so the
+tracer continues the curve as the level set S(z) = i s: each step advances
+the real parameter s and solves for z by Newton, with no quadrature and no
+accumulated error.  It carries arg P and the branch of the log in S, and
+continues both along each step's chord (arg P by the exact chord rule of
+wkbspec.actions), so every sqrt(P) it uses lies on one sheet.  Escaping
+curves are reported with their exact asymptotic direction.
 """
 
 from __future__ import annotations
@@ -21,9 +22,9 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .actions import PotentialQuadratic, _chord_arg, action
+from .actions import PotentialQuadratic, _chord_arg, _closed_action
 from .errors import TracingError
-from .numerics import Contour, refine_brackets
+from .numerics import refine_brackets
 
 __all__ = [
     "CrossingCheck",
@@ -42,8 +43,10 @@ TO_INFINITY = "infinity"
 TO_TURNING_POINT = "turning_point"
 
 _LAUNCH_DISTANCE = 1e-4
+_CAPTURE_RADIUS = 1e-2  # a curve this close to the other turning point ends there
 _DEFAULT_MAX_ARCLEN = 12.0
-_THETA_MAX = 0.02  # direction change per step, radians
+_NEWTON_TOL = 1e-13
+_NEWTON_MAX = 8
 
 
 @dataclass(frozen=True)
@@ -124,32 +127,15 @@ def _other_turning_point(pot: PotentialQuadratic, tp: complex) -> complex:
 # tracing
 # ---------------------------------------------------------------------------
 
-# Python floats: arithmetic on numpy scalars would dominate the step cost
-_G3_X, _G3_W = (v.tolist() for v in np.polynomial.legendre.leggauss(3))
-
-
-def _continue(pot, z0, phase0, z1):
-    """(sqrt(P), arg P) at z1, continued along the chord from arg P = phase0 at z0."""
-    phase = phase0 + float(_chord_arg(pot, z0, z1, z1))
-    return cmath.rect(math.sqrt(abs(pot(z1))), 0.5 * phase), phase
-
-
-def _tangent(w, prev_dir):
-    """Unit tangent of the level curve, oriented along prev_dir."""
-    t = 1j * w.conjugate() / abs(w)
-    if (t * prev_dir.conjugate()).real < 0.0:
-        t = -t
-    return t
-
-
-def _segment_increment(pot, z0, phase0, z1):
-    """3-point Gauss increment of S over [z0, z1] on the sheet continued from z0."""
-    mid = 0.5 * (z0 + z1)
-    half = 0.5 * (z1 - z0)
-    total = 0.0j
-    for xk, wk in zip(_G3_X, _G3_W):
-        total += wk * _continue(pot, z0, phase0, mid + half * xk)[0]
-    return half * total
+def _solve(at, z0, phase0, log0, z, target):
+    """Newton on S(z) = target from the guess z; S is continued from the point z0."""
+    for _ in range(_NEWTON_MAX):
+        s_val, q, phase, lg = at(z0, phase0, log0, z)
+        res = s_val - target
+        if abs(res) <= _NEWTON_TOL * max(1.0, abs(target)):
+            return z, q, phase, lg
+        z -= res / q  # dS/dz = sqrt(P)
+    raise TracingError(f"Newton on S(z) = {target:.6g} did not converge near z={z:.6g}")
 
 
 def trace_stokes_curve(
@@ -157,112 +143,72 @@ def trace_stokes_curve(
     tp: complex,
     k: int,
     max_arclen: float = _DEFAULT_MAX_ARCLEN,
-    step: Optional[float] = None,
     sag_tol: float = 1e-4,
 ) -> StokesCurve:
     """Trace the k-th Stokes curve from the turning point tp.
 
-    Predictor: midpoint step along the unit tangent (sqrt(P) times the
-    tangent is purely imaginary on the curve).  Corrector: Newton projection
-    back onto Re S = 0 using the accumulated action.  The step adapts to the
-    local direction change (cap _THETA_MAX) and to the chord sagitta
-    (cap sag_tol) so the stored polyline stays close to the true curve.
+    The curve is the level set S(z) = i s, s real, of the closed-form action
+    S from tp.  Each step advances s by h |sqrt(P)|, predicts along the
+    tangent and solves S(z) = i s by Newton, so every stored point meets
+    |S - i s| <= 1e-13 max(1, |s|).  The step h is capped by the distance
+    to tp, by half the distance to the other turning point (so no chord
+    passes near either), by the chord sagitta sag_tol at the exact
+    curvature of the level line, and by an arclength cap that grows with
+    the distance from tp.
 
-    Terminates either past max_arclen (TO_INFINITY, with the asymptotic
-    angle fitted from the outer tail) or within 10 steps of the other
-    turning point (TO_TURNING_POINT).
+    Terminates past max_arclen (TO_INFINITY, with the exact asymptotic
+    direction pi/4 - arg(k)/4 + j pi/2 nearest the last chord) or close to
+    the other turning point (TO_TURNING_POINT).
     """
+    if not (math.isfinite(max_arclen) and max_arclen > 0.0):
+        raise ValueError("max_arclen must be finite and positive")
     tp = complex(tp)
-    angles = launch_angles(pot, tp)
-    phi = angles[k % 3]
+    phi = launch_angles(pot, tp)[k % 3]
     other = _other_turning_point(pot, tp)
-    scale = max(1.0, abs(pot.turning_points()[1] - pot.turning_points()[0]))
-    step0 = step if step is not None else 1e-3 * scale
-    capture_radius = 10.0 * step0
+    scale = max(1.0, abs(other - tp))
+    at = _closed_action(pot, tp)
 
+    # launch on the chord from tp, where arg P -> arg P'(tp) + phi, and
+    # clean up onto S = i Im S
     z = tp + _LAUNCH_DISTANCE * scale * cmath.exp(1j * phi)
-    phase = cmath.phase(pot(z))
-    s_acc = action(pot, Contour([tp, z]), phase)
-    w = cmath.sqrt(pot(z))
-    t0 = _tangent(w, cmath.exp(1j * phi))
-    # tiny Newton cleanup of the launch point
-    for _ in range(3):
-        slope = (w * (1j * t0)).real
-        if abs(slope) < 1e-30:
-            break
-        dz = -s_acc.real / slope * (1j * t0)
-        s_acc += w * dz
-        w, phase = _continue(pot, z, phase, z + dz)
-        z += dz
+    s_val, q, phase, lg = at(tp, cmath.phase(pot.slope_at(tp)) + phi, 0j, z)
+    s = s_val.imag
+    z, q, phase, lg = _solve(at, z, phase, lg, z - s_val.real / q, 1j * s)
+    sigma = 1.0 if s > 0.0 else -1.0  # |s| grows away from tp
 
     points = [tp, z]
     arclen = abs(z - tp)
-    h = step0
-    prev_dir = t0
-    fails = 0
     terminal = TO_INFINITY
     reaches = None
-
     while arclen < max_arclen:
-        t_here = _tangent(w, prev_dir)
-        zm = z + 0.5 * h * t_here
-        t_mid = _tangent(cmath.sqrt(pot(zm)), t_here)  # a tangent is the same on both sheets
-        z_new = z + h * t_mid
-        s_new = s_acc + _segment_increment(pot, z, phase, z_new)
-        w_new, phase_new = _continue(pot, z, phase, z_new)
-        t_new = _tangent(w_new, t_mid)
-        # Newton projection onto Re S = 0 along the normal
-        ok = True
-        for _ in range(3):
-            n_hat = 1j * t_new
-            slope = (w_new * n_hat).real
-            if abs(slope) < 1e-30:
-                ok = False
-                break
-            delta = -s_new.real / slope
-            if abs(delta) > 0.1 * h:
-                ok = False
-                break
-            s_new += w_new * delta * n_hat
-            w_new, phase_new = _continue(pot, z_new, phase_new, z_new + delta * n_hat)
-            z_new += delta * n_hat
-            t_new = _tangent(w_new, t_mid)
-            if abs(s_new.real) < 1e-12 * max(1.0, abs(s_new.imag)):
-                break
-        dtheta = abs(cmath.phase(t_new * prev_dir.conjugate()))
-        if not ok or dtheta > _THETA_MAX:
-            h *= 0.5
-            fails += 1
-            if fails >= 5 and not ok:
-                raise TracingError(
-                    f"corrector stalled at z={z:.6g} after 5 consecutive failures"
-                )
-            if h < 1e-9 * scale:
-                raise TracingError(f"step underflow while tracing at z={z:.6g}")
-            continue
-        fails = 0
+        dp = pot.slope_at(z)
+        kappa = abs(q) * abs((dp / (2.0 * q**3)).real)
+        h = min(
+            abs(z - tp),
+            0.5 * abs(z - other),
+            math.sqrt(8.0 * sag_tol / kappa) if kappa > 0.0 else math.inf,
+            0.35 * scale * (1.0 + 0.25 * abs(z - tp)),
+        )
+        ds = sigma * h * abs(q)
+        s += ds
+        dz = 1j * ds / q
+        # second-order predictor, from S'' = P' / (2 sqrt(P))
+        guess = z + dz - dp * dz * dz / (4.0 * q * q)
+        z_new, q, phase, lg = _solve(at, z, phase, lg, guess, 1j * s)
         points.append(z_new)
         arclen += abs(z_new - z)
-        z, w, phase, s_acc, prev_dir = z_new, w_new, phase_new, s_new, t_new
-        if abs(z - other) < capture_radius:
+        z = z_new
+        if abs(z - other) < _CAPTURE_RADIUS * scale:
             terminal = TO_TURNING_POINT
             reaches = other
             points.append(other)
             break
-        # step adaptation: direction-change target plus sagitta control
-        if dtheta > 0.0:
-            h_sag = math.sqrt(8.0 * sag_tol * h / dtheta)
-        else:
-            h_sag = 4.0 * h
-        h_theta = h * min(2.0, max(0.3, 0.5 * _THETA_MAX / max(dtheta, 1e-12)))
-        h = min(h_theta, h_sag, 0.35 * scale * (1.0 + 0.25 * abs(z - tp)))
-        # never step across the other turning point: on the finite curve
-        # [0, mu] of an on-axis t-form the predictor would jump past it
-        h = min(h, 0.5 * abs(z - other))
 
     asym = None
     if terminal == TO_INFINITY:
-        asym = _fit_asymptotic_angle(pot, points)
+        base = math.pi / 4.0 - cmath.phase(pot.leading) / 4.0
+        j = round((cmath.phase(points[-1] - points[-2]) - base) / (0.5 * math.pi))
+        asym = math.remainder(base + 0.5 * math.pi * j, 2.0 * math.pi)
     return StokesCurve(
         origin=tp,
         direction_index=k % 3,
@@ -272,40 +218,6 @@ def trace_stokes_curve(
         asymptotic_angle=asym,
         reaches=reaches,
     )
-
-
-def _fit_asymptotic_angle(pot: PotentialQuadratic, points) -> float:
-    """Least-squares fit of the escaping tail direction.
-
-    The tangent angle approaches the asymptote like (a + b log r)/r^2 with
-    r the distance from the centroid of the turning points; fitting that
-    model on the outer tail removes the slowly decaying bias.
-    """
-    tps = pot.turning_points()
-    anchor = 0.5 * (tps[0] + tps[1])
-    mids = [(0.5 * (a + b)) for a, b in zip(points[:-1], points[1:])]
-    raw = [cmath.phase(b - a) for a, b in zip(points[:-1], points[1:])]
-    # unwrap the chord angles
-    ang = [raw[0]]
-    for v in raw[1:]:
-        ang.append(v + 2.0 * math.pi * round((ang[-1] - v) / (2.0 * math.pi)))
-    r = np.array([abs(m - anchor) for m in mids])
-    ang = np.array(ang)
-    r_max = float(r[-1])
-    theta = None
-    for frac in (0.45, 0.25):
-        mask = r >= max(2.0, frac * r_max)
-        if int(mask.sum()) >= 8:
-            a_mat = np.column_stack(
-                [np.ones(int(mask.sum())), 1.0 / r[mask] ** 2, np.log(r[mask]) / r[mask] ** 2]
-            )
-            coef, *_ = np.linalg.lstsq(a_mat, ang[mask], rcond=None)
-            theta = float(coef[0])
-            break
-    if theta is None:
-        theta = float(ang[-1])
-    # principal value
-    return math.atan2(math.sin(theta), math.cos(theta))
 
 
 # ---------------------------------------------------------------------------
@@ -392,41 +304,31 @@ def numerical_ray_extremum(
 ) -> Optional[float]:
     """Locate the extremum of Re S along the ray by a root of its slope.
 
-    Independent of the closed-form ray_extremum: evaluates the action from
-    the origin to tau * e^{i(gamma - psi)} by branch-tracked quadrature and
-    finds an interior extremum bracket on a scan.  Returns None when the
-    scan sees no interior extremum (monotone case).
+    Independent of the closed-form ray_extremum: d(Re S)/d tau =
+    Re(sqrt(P) e^{i(gamma - psi)}), with sqrt(P) continued from the origin
+    by the chord rule, is scanned on 48 taus in (0, tau_hi] and refined at
+    its first sign change (a value-based search alone is limited to
+    sqrt(eps/|S''|), and the extremum can be nearly flat close to the
+    regime boundaries).  Returns None when the scan sees no sign change
+    (monotone case).
     """
     pot = PotentialQuadratic.z_form(psi)
     d = cmath.exp(1j * (gamma - psi))
     # arg P at the start of the ray: P ~ -e^{4 i psi} z with z = tau e^{i(gamma-psi)}
     anchor = 3.0 * psi + gamma + math.pi
 
-    def f(tau: float) -> float:
-        return action(pot, Contour([0.0, tau * d]), anchor).real
-
-    taus = [tau_hi * (k / 48.0) ** 2 for k in range(1, 49)]
-    vals = [f(t) for t in taus]
-    i_max = max(range(len(vals)), key=vals.__getitem__)
-    i_min = min(range(len(vals)), key=vals.__getitem__)
-    if 0 < i_max < len(vals) - 1:
-        idx = i_max
-    elif 0 < i_min < len(vals) - 1:
-        idx = i_min
-    else:
-        return None
-
-    # the extremum is the root of d(Re S)/d tau = Re(sqrt(P) * direction): a
-    # value-based search alone is limited to sqrt(eps/|S''|) and the extremum
-    # can be nearly flat close to the regime boundaries
     def slope(tau):
         z = tau * d
         phase = anchor + _chord_arg(pot, 0.0, tau_hi * d, z)
         return (np.sqrt(np.abs(pot(z))) * np.exp(0.5j * phase) * d).real
 
-    ends = np.array([taus[idx - 1], taus[idx + 1]])
-    g = slope(ends)
-    (lo,), (hi,) = refine_brackets(slope, ends[:1], ends[1:], g[:1], g[1:], tol)
+    taus = tau_hi * (np.arange(1, 49) / 48.0) ** 2
+    g = slope(taus)
+    change = np.flatnonzero(np.sign(g[:-1]) != np.sign(g[1:]))
+    if len(change) == 0:
+        return None
+    i = change[:1]
+    (lo,), (hi,) = refine_brackets(slope, taus[i], taus[i + 1], g[i], g[i + 1], tol)
     return 0.5 * (lo + hi)
 
 

@@ -11,6 +11,7 @@ from wkbspec.errors import TurningPointError
 from wkbspec.numerics import Contour, gauss_legendre
 from wkbspec.actions import (
     PotentialQuadratic,
+    _closed_action,
     action,
     action_with_phase,
     half_line_integral_split,
@@ -164,14 +165,53 @@ def test_action_between_turning_points(psi):
     assert abs(val - cmath.exp(2j * psi) * 1j * math.pi / 8.0) < 1e-11
 
 
+def _chord(a, b, pieces=8):
+    # one straight chord cut into collinear pieces: a single Gauss panel loses
+    # accuracy where the chord passes near the other turning point
+    return Contour([a + (b - a) * k / pieces for k in range(pieces + 1)])
+
+
+@pytest.mark.parametrize(
+    "pot",
+    [PotentialQuadratic.z_form(psi) for psi in (0.0, 1.3, 4.0)]
+    + [PotentialQuadratic.t_form(mu) for mu in (1.0 + 0.3j, 0.62j, -0.62)],
+    ids=lambda pot: f"{pot.kind}-{pot.psi if pot.kind == 'z' else pot.mu}",
+)
+def test_closed_action_matches_quadrature(pot):
+    rng = np.random.default_rng(7)
+    tps = pot.turning_points()
+    for tp in tps:
+        at = _closed_action(pot, tp)
+        other = [t for t in tps if t != tp]
+        checked = 0
+        while checked < 8:
+            z = complex(*rng.uniform(-2.5, 2.5, 2))
+            w = z + complex(*rng.uniform(-1.0, 1.0, 2))
+            if not (
+                _segment_clear_of_turning_points(tp, z, 0.1, other)
+                and _segment_clear_of_turning_points(z, w, 0.1, tps)
+            ):
+                continue
+            checked += 1
+            # a chord that starts on the turning point, where S = 0
+            phase0 = cmath.phase(pot.slope_at(tp)) + cmath.phase(z - tp)
+            s_z, _, phase, lg = at(tp, phase0, 0j, z)
+            ref = action(pot, _chord(tp, z), phase0)
+            assert abs(s_z - ref) <= 1e-13 * max(1.0, abs(ref))
+            # and a chord between ordinary points, continued from there
+            s_w = at(z, phase, lg, w)[0]
+            ref = action(pot, _chord(z, w), phase)
+            assert abs(s_w - s_z - ref) <= 1e-13 * max(1.0, abs(ref))
+
+
 def test_degenerate_contour_rejected():
     # a zero-length path cannot be built; the empty integral is the caller's 0
     with pytest.raises(ValueError):
         Contour([0.7, 0.7])
 
 
-def _segment_clear_of_turning_points(a, b, margin=0.05):
-    for tp in (0.0, 1.0):
+def _segment_clear_of_turning_points(a, b, margin=0.05, tps=(0.0, 1.0)):
+    for tp in tps:
         d = b - a
         t = min(1.0, max(0.0, ((tp - a) * d.conjugate()).real / abs(d) ** 2))
         if abs(tp - (a + t * d)) < margin:

@@ -145,3 +145,21 @@ def test_bad_arguments_exit_2(capsys):
     assert main(["spectrum", "--alpha", "2"]) == 2
     assert main(["nonsense"]) == 2
     assert main(["spectrum", "--alpha", "2", "--c", "zz", "--n", "1"]) == 2
+    # counts that would verify or tabulate nothing
+    for count in ("0", "-1"):
+        assert main(["verify", "--per-regime", count]) == 2
+        assert main(["scan", "--from", "0", "--to", "0.1", "--steps", count]) == 2
+
+
+def test_theta0_nan_tolerance_exits_1(capsys):
+    code, out, err = run(["theta0", "--tol", "nan"], capsys)
+    assert code == 1
+    assert "theta0 =" not in out and "error:" in err
+
+
+@pytest.mark.parametrize("arclen", ["0", "-1", "nan", "inf"])
+def test_stokes_rejects_bad_max_arclen(arclen, capsys):
+    for psi in ("0", "0.3"):
+        code, out, err = run(["stokes", "--psi", psi, "--max-arclen", arclen, "--format", "json"], capsys)
+        assert code == 1
+        assert out == "" and "max_arclen" in err

@@ -269,6 +269,13 @@ def test_muller_no_convergence():
         muller_many(lambda z: 1.0 + np.abs(z), [1.0], 1e-12, max_iter=10)
 
 
+def test_solvers_reject_nan_tolerance():
+    with pytest.raises(ValueError):
+        muller_many(lambda z: z * z - 2.0, [1.0], math.nan)
+    with pytest.raises(ValueError):
+        refine_brackets(lambda x: x * x - 2.0, [1.0], [2.0], [-1.0], [2.0], math.nan)
+
+
 def test_muller_many_batch_matches_single_lanes():
     # lanes converge independently: the batch gives each lane's scalar answer
     f_many = lambda z: np.sin(z) * (z - 0.5j)

@@ -128,6 +128,13 @@ def test_real_spectrum_rejects_small_truncation():
         real_spectrum(2.0, 3, X=2.0)
 
 
+def test_spectra_reject_nan_tolerance():
+    with pytest.raises(ValueError):
+        real_spectrum(2.0, 3, tol=math.nan)
+    with pytest.raises(ValueError):
+        complex_spectrum(OperatorSpec.for_modes(1.0 + 0j, 2.0, 3), 3, tol=math.nan)
+
+
 def test_real_spectrum_alpha1_airy_zeros():
     # independent oracle: t_n = -a_n, the zeros of Ai
     ts = real_spectrum(1.0, 20)

@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from wkbspec.actions import PotentialQuadratic, action
+from wkbspec.actions import PotentialQuadratic, action, action_with_phase
 from wkbspec.numerics import Contour
 from wkbspec.stokes import (
     build_stokes_graph,
@@ -71,6 +71,9 @@ def test_asymptotic_directions_simple_graph():
         assert c.terminal == "infinity"
         k = (c.asymptotic_angle - math.pi / 4.0) / (math.pi / 2.0)
         assert abs(k - round(k)) * math.pi / 2.0 < 1e-3
+        # the reported angle is exact; the traced tail must point along it
+        tail = cmath.phase(c.points[-1] - c.points[-2])
+        assert abs(math.remainder(tail - c.asymptotic_angle, 2.0 * math.pi)) < 2e-2
 
 
 def test_compound_flag_quarter_turn():
@@ -94,6 +97,33 @@ def test_re_s_conserved_along_curves():
             m = max(2, int(len(pts) * frac))
             val = action(pot, Contour(pts[:m]), cmath.phase(pot(pts[1])))
             assert abs(val.real) < 1e-8
+
+
+@pytest.mark.parametrize(
+    "pot",
+    [PotentialQuadratic.z_form(psi) for psi in (0.3, 1.3, 2.9, 4.0, 5.9)]
+    + [PotentialQuadratic.t_form(mu) for mu in (0.725, 0.62j, 1.0 + 0.3j)],
+    ids=lambda pot: f"{pot.kind}-{pot.psi if pot.kind == 'z' else pot.mu}",
+)
+def test_re_s_vanishes_at_every_vertex(pot):
+    # graded Gauss action along each polyline prefix, chord by chord
+    for curve in build_stokes_graph(pot).curves:
+        pts = curve.points
+        phase = cmath.phase(pot.slope_at(pts[0])) + cmath.phase(pts[1] - pts[0])
+        s_val = 0.0j
+        for a, b in zip(pts[:-1], pts[1:]):
+            part, phase = action_with_phase(pot, Contour([a, b]), phase)
+            s_val += part
+            assert abs(s_val.real) <= 1e-10, f"Re S = {s_val.real:.2e} at {b} on the curve from {pts[0]}"
+
+
+@pytest.mark.parametrize("max_arclen", [0.0, -1.0, math.nan, math.inf])
+def test_bad_max_arclen_rejected(max_arclen):
+    pot = PotentialQuadratic.z_form(0.3)
+    with pytest.raises(ValueError):
+        trace_stokes_curve(pot, 0.0, 0, max_arclen)
+    with pytest.raises(ValueError):
+        build_stokes_graph(pot, max_arclen)
 
 
 def test_re_s_conserved_at_every_stored_point():

@@ -56,6 +56,13 @@ def test_solve_theta0_report():
     assert len(rep.f_samples) == 100
 
 
+@pytest.mark.parametrize("tol", [0.0, -1e-10, math.nan])
+def test_solve_theta0_rejects_bad_tolerance(tol):
+    # a NaN tolerance passes every `tol <= 0` check and ends bisection at once
+    with pytest.raises(ValueError):
+        solve_theta0(tol)
+
+
 def test_solve_theta0_tolerance_stability():
     t1 = solve_theta0(1e-8).theta0
     t2 = solve_theta0(5e-9).theta0
