@@ -7,7 +7,7 @@ a = 2/3 operator.
 
 __version__ = "0.1.0"
 
-from .numerics import Bracket, Contour, gamma_fn, gauss_legendre
+from .numerics import Bracket, Contour, gamma_fn
 from .actions import (
     PotentialQuadratic,
     action,
@@ -60,7 +60,6 @@ __all__ = [
     "f_theta",
     "f_theta_routes",
     "gamma_fn",
-    "gauss_legendre",
     "half_line_integral_split",
     "homogeneous_pair",
     "numerical_ray_extremum",

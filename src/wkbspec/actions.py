@@ -250,7 +250,9 @@ def _action_over_segment(pot, a, b, phase_in):
     """(integral of sqrt(P), arg P at b) over one straight segment.
 
     When b is a turning point the phase reported is the one-sided limit
-    along the segment.
+    along the segment.  A turning point that projects into the interior
+    within a quarter of the segment length splits it there, and both
+    pieces are graded toward the split, where sqrt(P) varies fastest.
     """
     phase_a = _start_arg(pot, a, b, phase_in)
 
@@ -258,9 +260,17 @@ def _action_over_segment(pot, a, b, phase_in):
         phase = phase_a + _chord_arg(pot, a, b, z)
         return np.sqrt(np.abs(pot(z))) * np.exp(0.5j * phase)
 
-    grade_a = _on_turning_point(pot, a) is not None
-    grade_b = _on_turning_point(pot, b) is not None
-    total = _graded_quad(sqrt_p, a, b, grade_a, grade_b)
+    d = b - a
+    splits = []
+    for tp in pot.turning_points():
+        t = ((tp - a) * d.conjugate()).real / abs(d) ** 2
+        near = abs(tp - (a + t * d)) < 0.25 * abs(d)
+        if 0.0 < t < 1.0 and near and min(abs(tp - a), abs(tp - b)) >= _ON_TP:
+            splits.append(a + t * d)
+    ends = [a] + sorted(splits, key=lambda z: abs(z - a)) + [b]
+    graded = [_on_turning_point(pot, z) is not None for z in (a, b)]
+    graded[1:1] = [True] * len(splits)
+    total = sum(_graded_quad(sqrt_p, *ends[i : i + 2], *graded[i : i + 2]) for i in range(len(ends) - 1))
     return complex(total), phase_a + float(_chord_arg(pot, a, b, b))
 
 
@@ -285,7 +295,8 @@ def action(pot: PotentialQuadratic, path: Contour, initial_arg: float) -> comple
     """Integral of the branch-tracked sqrt(P) along the path.
 
     Composite Gauss panels with geometric grading toward contour endpoints
-    that sit on turning points; absolute accuracy target 1e-11.
+    that sit on turning points and toward the closest approach of a turning
+    point that a segment passes near; accuracy target 1e-11 max(1, |S|).
     """
     return action_with_phase(pot, path, initial_arg)[0]
 

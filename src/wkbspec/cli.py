@@ -271,7 +271,10 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="use p(t) = t^2 - mu t with this mu instead of the z-form")
     sp.add_argument("--gamma", type=float, default=None)
     sp.add_argument("--degrees", action="store_true")
-    sp.add_argument("--max-arclen", type=float, default=12.0)
+    sp.add_argument("--max-arclen", type=float, default=12.0,
+                    help="arclength cap of an escaping curve, in units of max(1, |t2 - t1|), the "
+                         "distance between the turning points (1 for the z-form, max(1, |mu|) "
+                         "for the t-form); default 12")
     sp.add_argument("--format", choices=("svg", "json"), default="svg")
     sp.add_argument("--out", default=None)
     sp.set_defaults(func=_cmd_stokes)

@@ -1,7 +1,7 @@
-"""Self-contained numerical kernels: Gamma, Gauss-Legendre quadrature on
-complex contours, and root finding (one bracketed refiner for real roots,
-one batched Muller for complex ones).  The ODE solves live with their only
-user, the Magnus transfer kernel in wkbspec.spectrum.
+"""Self-contained numerical kernels: Gamma, cached Gauss-Legendre nodes,
+contour and bracket types, and root finding (one bracketed refiner for real
+roots, one batched Muller for complex ones).  The ODE solves live with
+their only user, the Magnus transfer kernel in wkbspec.spectrum.
 
 All functions are pure; nothing here keeps module-level mutable state, so
 everything is safe to call concurrently.
@@ -24,7 +24,6 @@ __all__ = [
     "Bracket",
     "Contour",
     "gamma_fn",
-    "gauss_legendre",
     "muller_many",
     "refine_brackets",
 ]
@@ -118,7 +117,7 @@ def gamma_fn(x: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Gauss-Legendre quadrature on a straight segment
+# Gauss-Legendre nodes and weights
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=64)
@@ -127,36 +126,12 @@ def _leggauss(n: int):
     return nodes, weights
 
 
-def gauss_legendre(f: Callable, seg: Contour, n: int) -> complex:
-    """Integrate f over a single straight segment with n-point Gauss-Legendre.
-
-    Exact (to rounding) for polynomials of degree <= 2n - 1.  The integrand
-    is called with a numpy array of nodes; a scalar-only integrand is
-    evaluated pointwise instead.
-    """
-    if len(seg.nodes) != 2:
-        raise ValueError("gauss_legendre expects a 2-node segment")
-    if n < 2:
-        raise ValueError("need at least 2 quadrature nodes")
-    a, b = seg.nodes
-    x, w = _leggauss(n)
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    z = mid + half * x
-    try:
-        vals = np.asarray(f(z), dtype=complex)
-        if vals.shape != z.shape:
-            raise TypeError
-    except TypeError:
-        vals = np.array([f(zk) for zk in z], dtype=complex)
-    if not np.all(np.isfinite(vals)):
-        raise ValueError("integrand returned non-finite values on the segment")
-    return complex(half * np.sum(w * vals))
-
-
 # ---------------------------------------------------------------------------
 # root finding
 # ---------------------------------------------------------------------------
+
+_REFINE_ROUNDS = 90
+
 
 def refine_brackets(
     f_many: Callable,
@@ -165,7 +140,6 @@ def refine_brackets(
     flo: np.ndarray,
     fhi: np.ndarray,
     tol: float,
-    max_rounds: int = 90,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Vectorized bracketed root refinement of a real function.
 
@@ -174,7 +148,8 @@ def refine_brackets(
     case.  Secant steps clipped into the bracket, with a bisection wherever
     the secant stopped shrinking the bracket for two rounds.  Returns the
     final (lo, hi) arrays: every bracket still holds a sign change, lies
-    inside its initial one and is at most tol wide.
+    inside its initial one and is at most tol wide, or ConvergenceError is
+    raised after _REFINE_ROUNDS rounds.
     """
     if not tol > 0.0:
         raise ValueError("tol must be positive")
@@ -185,7 +160,7 @@ def refine_brackets(
     if np.any(flo * fhi > 0.0):
         raise BracketError("refine_brackets requires sign changes in every bracket")
     stall = np.zeros(len(lo), dtype=int)
-    for _ in range(max_rounds):
+    for _ in range(_REFINE_ROUNDS):
         width = hi - lo
         active = width > tol
         if not np.any(active):

@@ -156,9 +156,11 @@ def trace_stokes_curve(
     curvature of the level line, and by an arclength cap that grows with
     the distance from tp.
 
-    Terminates past max_arclen (TO_INFINITY, with the exact asymptotic
-    direction pi/4 - arg(k)/4 + j pi/2 nearest the last chord) or close to
-    the other turning point (TO_TURNING_POINT).
+    Terminates past an arclength of max_arclen times the scale
+    max(1, |t2 - t1|) of the step caps (TO_INFINITY, with the exact
+    asymptotic direction pi/4 - arg(k)/4 + j pi/2 nearest the last chord),
+    or close to the other turning point (TO_TURNING_POINT).  So a finite
+    curve between far-apart turning points is never cut short.
     """
     if not (math.isfinite(max_arclen) and max_arclen > 0.0):
         raise ValueError("max_arclen must be finite and positive")
@@ -180,7 +182,7 @@ def trace_stokes_curve(
     arclen = abs(z - tp)
     terminal = TO_INFINITY
     reaches = None
-    while arclen < max_arclen:
+    while arclen < max_arclen * scale:
         dp = pot.slope_at(z)
         kappa = abs(q) * abs((dp / (2.0 * q**3)).real)
         h = min(
@@ -299,18 +301,16 @@ def ray_extremum(gamma: float, psi: float) -> Optional[Tuple[float, float]]:
     return None
 
 
-def numerical_ray_extremum(
-    psi: float, gamma: float, tau_hi: float = 3.0, tol: float = 1e-11
-) -> Optional[float]:
+def numerical_ray_extremum(psi: float, gamma: float, tau_hi: float = 3.0) -> Optional[float]:
     """Locate the extremum of Re S along the ray by a root of its slope.
 
     Independent of the closed-form ray_extremum: d(Re S)/d tau =
     Re(sqrt(P) e^{i(gamma - psi)}), with sqrt(P) continued from the origin
     by the chord rule, is scanned on 48 taus in (0, tau_hi] and refined at
-    its first sign change (a value-based search alone is limited to
-    sqrt(eps/|S''|), and the extremum can be nearly flat close to the
-    regime boundaries).  Returns None when the scan sees no sign change
-    (monotone case).
+    its first sign change to a bracket 1e-11 wide (a value-based search
+    alone is limited to sqrt(eps/|S''|), and the extremum can be nearly
+    flat close to the regime boundaries).  Returns None when the scan sees
+    no sign change (monotone case).
     """
     pot = PotentialQuadratic.z_form(psi)
     d = cmath.exp(1j * (gamma - psi))
@@ -328,7 +328,7 @@ def numerical_ray_extremum(
     if len(change) == 0:
         return None
     i = change[:1]
-    (lo,), (hi,) = refine_brackets(slope, taus[i], taus[i + 1], g[i], g[i + 1], tol)
+    (lo,), (hi,) = refine_brackets(slope, taus[i], taus[i + 1], g[i], g[i + 1], 1e-11)
     return 0.5 * (lo + hi)
 
 
@@ -372,12 +372,7 @@ def _ray_polyline_crossings(direction: complex, curve: StokesCurve, r_min: float
     return out
 
 
-def ray_crossing_report(
-    psi: float,
-    gamma: float,
-    max_arclen: float = _DEFAULT_MAX_ARCLEN,
-    graph: Optional[StokesGraph] = None,
-) -> RayCrossingReport:
+def ray_crossing_report(psi: float, gamma: float) -> RayCrossingReport:
     """Count intersections of the ray at angle gamma - psi with both
     Stokes complexes of P(z) = e^{4 i psi} z (z - 1).
 
@@ -389,8 +384,7 @@ def ray_crossing_report(
         raise ValueError("gamma must lie in (0, pi/4)")
     if not 0.0 < psi < 2.0 * math.pi or psi == gamma:
         raise ValueError("psi must lie in (0, 2*pi), psi != gamma")
-    if graph is None:
-        graph = build_stokes_graph(PotentialQuadratic.z_form(psi), max_arclen)
+    graph = build_stokes_graph(PotentialQuadratic.z_form(psi))
     direction = cmath.exp(1j * (gamma - psi))
     r_min = 1e-6
     hits1, hits2 = [], []

@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from numpy.polynomial.legendre import leggauss
 from numpy.testing import assert_allclose
 
 from wkbspec.errors import TurningPointError
-from wkbspec.numerics import Contour, gauss_legendre
+from wkbspec.numerics import Contour
 from wkbspec.actions import (
     PotentialQuadratic,
     _closed_action,
@@ -204,6 +205,26 @@ def test_closed_action_matches_quadrature(pot):
             assert abs(s_w - s_z - ref) <= 1e-13 * max(1.0, abs(ref))
 
 
+def test_long_chords_from_turning_points_match_closed_action():
+    # chords from a turning point to a random point of [-3, 3]^2, many of
+    # them passing close by the other turning point, and one of length 3.05
+    # that passes 0.054 from the turning point 0
+    pots = [PotentialQuadratic.z_form(psi) for psi in (0.0, 0.7, 1.3, 2.2, 3.1, 4.0, 5.5)]
+    pots += [PotentialQuadratic.t_form(mu) for mu in (1.0 + 0.3j, 0.62j, -0.62, 1.5 - 1.2j)]
+    rng = np.random.default_rng(440)
+    chords = [
+        (pot, tp, complex(*rng.uniform(-3.0, 3.0, 2)))
+        for pot in pots
+        for tp in pot.turning_points()
+        for _ in range(20)
+    ]
+    chords.append((PotentialQuadratic.z_form(0.0), 1.0, -2.0422 + 0.1643j))
+    for pot, tp, z in chords:
+        phase0 = cmath.phase(pot.slope_at(tp)) + cmath.phase(z - tp)
+        s_z = _closed_action(pot, tp)(tp, phase0, 0j, z)[0]
+        assert abs(action(pot, Contour([tp, z]), phase0) - s_z) <= 1e-11 * max(1.0, abs(s_z))
+
+
 def test_degenerate_contour_rejected():
     # a zero-length path cannot be built; the empty integral is the caller's 0
     with pytest.raises(ValueError):
@@ -268,11 +289,13 @@ def test_segment_closed_arcsin_decomposition():
 def test_segment_closed_vs_composite_gauss():
     # 64 panels on [1, 1 + 0.3 i], graded toward the sqrt zero at z = 1
     tau = 0.3
+    x, w = leggauss(24)
     total = 0.0 + 0.0j
     for k in range(64):
         a = 1.0 + 1j * tau * (k / 64.0) ** 3
         b = 1.0 + 1j * tau * ((k + 1) / 64.0) ** 3
-        total += gauss_legendre(lambda z: np.sqrt(z * (1.0 - z) + 0j), Contour([a, b]), 24)
+        z = 0.5 * (a + b) + 0.5 * (b - a) * x
+        total += 0.5 * (b - a) * np.sum(w * np.sqrt(z * (1.0 - z) + 0j))
     assert abs(total - segment_integral_closed(tau)) < 1e-12
 
 
@@ -293,13 +316,13 @@ def test_half_line_split_zero():
 @pytest.mark.parametrize("x", [0.1, 0.3, 0.7, 1.0, 1.5, 2.0])
 def test_half_line_split_vs_complex_quadrature(x):
     re_i, im_i = half_line_integral_split(x)
+    nodes, w = leggauss(24)
     total = 0.0 + 0.0j
     for k in range(64):
         a = x * (k / 64.0) ** 2
         b = x * ((k + 1) / 64.0) ** 2
-        if a == b:
-            continue
-        total += gauss_legendre(lambda t: np.sqrt(t * t - 1j * t), Contour([a, b]), 24)
+        t = 0.5 * (a + b) + 0.5 * (b - a) * nodes
+        total += 0.5 * (b - a) * np.sum(w * np.sqrt(t * t - 1j * t))
     assert abs(complex(re_i, im_i) - total) < 1e-10
 
 

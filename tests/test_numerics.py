@@ -13,7 +13,6 @@ from wkbspec.numerics import (
     Bracket,
     Contour,
     gamma_fn,
-    gauss_legendre,
     muller_many,
     refine_brackets,
 )
@@ -71,41 +70,6 @@ def test_bracket_validation():
     with pytest.raises(ValueError):
         Bracket(2.0, 1.0)
     assert Bracket(1.0, 2.0).width == 1.0
-
-
-# ---------------------------------------------------------------------------
-# Gauss-Legendre
-# ---------------------------------------------------------------------------
-
-def test_gauss_cubic_two_nodes():
-    val = gauss_legendre(lambda z: z**3, Contour([0.0, 1.0]), 2)
-    assert_allclose(val, 0.25, atol=1e-15)
-
-
-def test_gauss_constant_imaginary_segment():
-    val = gauss_legendre(lambda z: np.ones_like(z), Contour([0.0, 1j]), 4)
-    assert_allclose(val, 1j, atol=1e-15)
-
-
-@settings(deadline=None, max_examples=60)
-@given(st.integers(min_value=2, max_value=12), st.data())
-def test_gauss_monomial_exactness(n, data):
-    k = data.draw(st.integers(min_value=0, max_value=2 * n - 1))
-    val = gauss_legendre(lambda z: z**k, Contour([-1.0, 1.0]), n)
-    exact = 0.0 if k % 2 else 2.0 / (k + 1)
-    assert abs(val - exact) < 1e-13
-
-
-def test_gauss_scalar_integrand_fallback():
-    val = gauss_legendre(lambda z: complex(z) ** 2, Contour([0.0, 1.0]), 6)
-    assert_allclose(val, 1.0 / 3.0, atol=1e-14)
-
-
-def test_gauss_rejects_single_node_count():
-    with pytest.raises(ValueError):
-        gauss_legendre(lambda z: z, Contour([0.0, 1.0]), 1)
-    with pytest.raises(ValueError):
-        gauss_legendre(lambda z: z, Contour([0.0, 0.5, 1.0]), 4)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,6 @@ from wkbspec.spectrum import (
     SampledFunction,
     apply_inverse,
     bs_constant,
-    bs_constant_quadrature,
     complex_spectrum,
     default_truncation,
     eigenfunction,
@@ -22,6 +21,7 @@ from wkbspec.spectrum import (
     spectral_det,
     t_asymptotic,
 )
+from wkbspec.spectrum import _magnus, _march_nodes, _mesh
 
 ALPHA_23 = 2.0 / 3.0
 
@@ -78,9 +78,11 @@ def test_bs_constant_closed_values(alpha, expected):
     assert_allclose(bs_constant(alpha), expected, rtol=1e-13)
 
 
-@pytest.mark.parametrize("alpha", [0.5, ALPHA_23, 1.0, 1.5, 2.0, 3.0])
+@pytest.mark.parametrize("alpha", [0.3, 0.5, ALPHA_23, 1.0, 1.5, 2.0, 3.0, 7.0])
 def test_bs_constant_vs_quadrature(alpha):
-    assert abs(bs_constant(alpha) - bs_constant_quadrature(alpha)) < 1e-12
+    # mpmath's tanh-sinh rule handles the sqrt end-point singularity at u = 1
+    exact = mpmath.quad(lambda u: mpmath.sqrt(1 - u**alpha), [0, 1])
+    assert abs(bs_constant(alpha) - float(exact)) < 1e-12
 
 
 def test_t_asymptotic_alpha2_is_exact_odd_oscillator():
@@ -282,6 +284,44 @@ def test_apply_inverse_wronskian_constancy(resolvent_spec):
         w = v * up - vp * u
         w0 = w[len(w) // 2]
         assert np.max(np.abs(w - w0)) / abs(w0) < 1e-6
+
+
+def test_march_origin_ratio_grid_independent():
+    # the march runs on the grid merged with the shooting mesh, whose
+    # intervals shrink toward x = 0 where x^a is only Holder, so refining the
+    # grid does not move v'(0)/v(0)
+    ratios = []
+    for grid_n in (3001, 24001):
+        spec = OperatorSpec(c=cmath.exp(1j * math.pi / 3.0), alpha=ALPHA_23, X=12.0, grid_n=grid_n)
+        _u, _up, v, vp = homogeneous_pair(spec)
+        ratios.append(vp[0] / v[0])
+    assert abs(ratios[0] - ratios[1]) < 1e-10 * abs(ratios[1])
+
+
+@pytest.mark.parametrize("grid_n", [2001, 2002])  # merged paths of 6001 and 6002 intervals
+@pytest.mark.parametrize("inward", [True, False])
+def test_march_matches_sequential_magnus_chain(grid_n, inward):
+    # the blocked down-sweep against one matrix at a time on the same path
+    spec = OperatorSpec(c=cmath.exp(1j * math.pi / 3.0), alpha=ALPHA_23, X=12.0, grid_n=grid_n)
+    xs = spec.grid()
+    nodes = np.sort(np.concatenate((xs, _mesh(spec.X))))
+    if inward:
+        path = nodes[::-1]
+        y, yp = spec.X ** (-0.25 * spec.alpha), -cmath.sqrt(spec.c) * spec.X ** (0.25 * spec.alpha)
+    else:
+        path, y, yp = nodes, 0.0, 1.0
+    ys, yps = [y], [yp]
+    for a, b, cc, d in zip(*_magnus(spec.c, spec.alpha, path[:-1], path[1:], 0.0)):
+        y, yp = a * y + b * yp, cc * y + d * yp
+        ys.append(y)
+        yps.append(yp)
+    ys, yps = np.array(ys), np.array(yps)
+    if inward:
+        ys, yps = ys[::-1], yps[::-1]
+    pick = np.searchsorted(nodes, xs)
+    march_y, march_yp = _march_nodes(spec, inward)
+    assert np.max(np.abs(march_y - ys[pick])) < 1e-13 * np.max(np.abs(ys))
+    assert np.max(np.abs(march_yp - yps[pick])) < 1e-13 * np.max(np.abs(yps))
 
 
 def test_apply_inverse_grid_mismatch(resolvent_spec):

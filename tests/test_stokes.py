@@ -86,6 +86,17 @@ def test_compound_flag_quarter_turn():
     assert not build_stokes_graph(PotentialQuadratic.t_form(cmath.exp(1j * math.pi / 5.0))).compound
 
 
+@pytest.mark.parametrize("mu", [13j, 20j, 20.0, -15j, 70.0])
+def test_compound_flag_far_apart_turning_points(mu):
+    # the arclength cap scales with |mu|, so the finite curve [0, mu] is
+    # traced to its end however long it is
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        graph = build_stokes_graph(PotentialQuadratic.t_form(mu))
+    assert graph.compound
+    assert sum(c.terminal == "turning_point" for c in graph.curves) == 2
+
+
 def test_re_s_conserved_along_curves():
     # recompute the action independently along the stored polylines
     psi = math.pi / 5.0
