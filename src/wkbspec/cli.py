@@ -191,8 +191,8 @@ def _cmd_resolvent(args, argv) -> int:
         f"# y_at_zero: {_num(abs(y.values[0]))}",
         "x,y_re,y_im",
     ]
-    for x, v in zip(xs, y.values):
-        rows.append(f"{_num(x)},{_num(v.real)},{_num(v.imag)}")
+    row = ",".join([_FMT] * 3).format
+    rows += map(row, xs.tolist(), y.values.real.tolist(), y.values.imag.tolist())
     _emit("\n".join(rows) + "\n", args.out)
     return 0
 

@@ -146,10 +146,11 @@ def refine_brackets(
     f_many maps an array of abscissae to an array of values, one call per
     round, so a batch of roots converges in lockstep; k = 1 is the scalar
     case.  Secant steps clipped into the bracket, with a bisection wherever
-    the secant stopped shrinking the bracket for two rounds.  Returns the
-    final (lo, hi) arrays: every bracket still holds a sign change, lies
-    inside its initial one and is at most tol wide, or ConvergenceError is
-    raised after _REFINE_ROUNDS rounds.
+    the secant stopped shrinking the bracket for two rounds.  Sides are
+    chosen by the signs of the values, so values of any magnitude work.
+    Returns the final (lo, hi) arrays: every bracket still holds a sign
+    change, lies inside its initial one and is at most tol wide, or
+    ConvergenceError is raised after _REFINE_ROUNDS rounds.
     """
     if not tol > 0.0:
         raise ValueError("tol must be positive")
@@ -157,7 +158,8 @@ def refine_brackets(
     hi = np.array(hi, dtype=float)
     flo = np.array(flo, dtype=float)
     fhi = np.array(fhi, dtype=float)
-    if np.any(flo * fhi > 0.0):
+    # signs, not products: a product of two values below ~1e-162 underflows to 0
+    if np.any(np.sign(flo) * np.sign(fhi) > 0.0):
         raise BracketError("refine_brackets requires sign changes in every bracket")
     stall = np.zeros(len(lo), dtype=int)
     for _ in range(_REFINE_ROUNDS):
@@ -171,15 +173,18 @@ def refine_brackets(
         sec = np.where(safe, (lo * fhi - hi * flo) / np.where(safe, denom, 1.0), mid)
         sec = np.clip(sec, lo + 0.02 * width, hi - 0.02 * width)
         # fall back to bisection only where the secant stopped shrinking
-        x = np.where(stall >= 2, mid, sec)
+        bisect = stall >= 2
+        x = np.where(bisect, mid, sec)
         fx = np.asarray(f_many(x), dtype=float)
-        left = flo * fx <= 0.0
+        left = np.sign(flo) * np.sign(fx) <= 0.0
         new_hi = np.where(active & left, x, hi)
         new_fhi = np.where(active & left, fx, fhi)
         new_lo = np.where(active & ~left, x, lo)
         new_flo = np.where(active & ~left, fx, flo)
         shrunk = (new_hi - new_lo) < 0.4 * width
-        stall = np.where(shrunk | ~active, 0, stall + 1)
+        # a bisection halves the bracket, which the 0.4 test never counts as
+        # shrinking, so the secant gets its next two tries after each one
+        stall = np.where(shrunk | bisect | ~active, 0, stall + 1)
         lo, hi, flo, fhi = new_lo, new_hi, new_flo, new_fhi
     if np.any((hi - lo) > tol):
         raise ConvergenceError("bracket refinement did not reach tolerance")

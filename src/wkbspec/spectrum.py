@@ -12,9 +12,14 @@ is the boundary value y(0; lambda) of the solution that decays at
 infinity, chained inward from the truncation radius X with a WKB seed;
 a lambda-independent factor per interval keeps hundreds of orders of
 magnitude inside double precision, so the proxy is an entire function of
-lambda with exactly the eigenvalues as zeros.  The Green-kernel pair and
-the eigenfunctions take every node value on the same mesh, joined with the
-caller's grid, from a prefix product of the same pairwise products.
+lambda with exactly the eigenvalues as zeros.  The reference spectrum is
+bracketed between asymptotic-law points, and each bracket is certified by
+a Sturm oscillation count: the number of zeros of the decaying solution
+y(.; t) on (0, X), counted as sign changes at the mesh nodes, is the
+number of eigenvalues below t.  The count, the Green-kernel pair and the
+eigenfunctions take every node value from one blocked prefix product of
+the same pairwise products (_prefix_blocks); the pair and the
+eigenfunctions run on the mesh joined with the caller's grid.
 """
 
 from __future__ import annotations
@@ -154,9 +159,9 @@ def t_asymptotic(n: int, alpha: float) -> float:
 def _mode_window(alpha: float, n_max: int) -> Tuple[float, float]:
     """(t_top, radius) for the first n_max modes at unit coupling.
 
-    t_top = 1.3 t_asymptotic(n_max) bounds every t that is searched, and
-    radius = 1.5 t_top^{1/a}, half again the turning point of t_top, is the
-    smallest truncation accepted.
+    t_top = 1.3 t_asymptotic(n_max) bounds every eigenvalue searched for,
+    and radius = 1.5 t_top^{1/a}, half again the turning point of t_top, is
+    the smallest truncation accepted.
     """
     t_top = 1.3 * t_asymptotic(n_max, alpha)
     return t_top, 1.5 * t_top ** (1.0 / alpha)
@@ -257,6 +262,14 @@ def _mesh(X: float) -> np.ndarray:
     return X * np.linspace(1.0, 0.0, 4001) ** 1.5
 
 
+def _decay(c, alpha: float, xs: np.ndarray) -> np.ndarray:
+    """The lambda-independent factors exp(-|h| sqrt(c) x_mid^{a/2}), one per
+    interval of the inward path xs; their product cancels the dominant WKB
+    growth of the decaying solution."""
+    x0, x1 = xs[:-1], xs[1:]
+    return np.exp(-(x0 - x1) * c**0.5 * (0.5 * (x0 + x1)) ** (0.5 * alpha))
+
+
 def _guard(values: np.ndarray) -> np.ndarray:
     top = np.max(np.abs(values), initial=0.0)
     if not top <= _OVERFLOW_BOUND:
@@ -268,10 +281,9 @@ def _shoot_many(c: complex, alpha: float, lams: np.ndarray, X: float) -> np.ndar
     """Renormalized y(0; lambda) for a batch of spectral parameters.
 
     Chains Magnus transfer matrices from the WKB seed at X down to 0 on the
-    fixed mesh _mesh(X).  Each interval carries the lambda-independent
-    factor exp(-|h| sqrt(c) x_mid^{a/2}), which cancels the dominant WKB
-    growth so amplitudes stay in range while the proxy remains entire in
-    lambda.  Work runs in blocks of about 4096
+    fixed mesh _mesh(X).  Each interval carries its _decay factor, which
+    cancels the dominant WKB growth so amplitudes stay in range while the
+    proxy remains entire in lambda.  Work runs in blocks of about 4096
     (interval, lambda) pairs, at most 512 lambdas wide so that every block
     spans 8 or more intervals; inside a block the matrices are multiplied
     pairwise in log depth.
@@ -282,7 +294,7 @@ def _shoot_many(c: complex, alpha: float, lams: np.ndarray, X: float) -> np.ndar
         c = c.real  # real coupling and parameters: real arithmetic throughout
     xs = _mesh(X)
     x0, x1 = xs[:-1, None], xs[1:, None]
-    decay = np.exp(-(x0 - x1) * c**0.5 * (0.5 * (x0 + x1)) ** (0.5 * alpha))
+    decay = _decay(c, alpha, xs)[:, None]
 
     out = np.empty(len(lams), dtype=complex)
     for j in range(0, len(lams), 512):
@@ -313,6 +325,43 @@ def _pair_products(m):
     return tuple(np.concatenate((p, e[n:])) for p, e in zip(prod, m))
 
 
+def _prefix_blocks(c, alpha: float, path: np.ndarray, lam, y, yp, scale=None):
+    """Values (y, y') of y'' = (c x^a - lam) y at the nodes of path, by blocks.
+
+    lam is a scalar or a 1-d array of spectral parameters, the trailing
+    axis of every value; y and yp hold the values at path[0], and scale,
+    when given, one factor per interval of path multiplying its matrix.
+    Yields (i, ys, yps) for blocks of up to 2048 intervals: the values at
+    path[i], ..., path[i + len(ys) - 1], so the first node of a block is
+    the last of the block before.  In a block, the up-sweep keeps every
+    level of the pairwise products and the down-sweep applies the level-l
+    products to the values known at multiples of 2^(l+1), which fills in
+    the odd multiples of 2^l (a prefix product in log depth).
+    """
+    lane = (slice(None),) + (None,) * np.ndim(lam)  # intervals down, lambdas across
+    for i in range(0, len(path) - 1, 2048):
+        seg = path[i : i + 2049]
+        block_scale = 1.0 if scale is None else scale[i : i + 2048][lane]
+        levels = [_magnus(c, alpha, seg[:-1][lane], seg[1:][lane], lam, block_scale)]
+        while len(levels[-1][0]) > 1:
+            levels.append(_pair_products(levels[-1]))
+        shape = (len(seg),) + levels[0][0].shape[1:]
+        ys = np.empty(shape, dtype=np.result_type(levels[0][0], y))
+        yps = np.empty_like(ys)
+        ys[0], yps[0] = y, yp
+        a, b, cc, d = (e[0] for e in levels[-1])
+        ys[-1], yps[-1] = a * ys[0] + b * yps[0], cc * ys[0] + d * yps[0]
+        for level in range(len(levels) - 2, -1, -1):
+            # an odd leftover at the end only passes through: its end is known
+            step, pairs = 2 << level, len(levels[level][0]) // 2
+            src = slice(0, pairs * step, step)
+            dst = slice(step // 2, step // 2 + pairs * step, step)
+            a, b, cc, d = (e[0 : 2 * pairs : 2] for e in levels[level])
+            ys[dst], yps[dst] = a * ys[src] + b * yps[src], cc * ys[src] + d * yps[src]
+        yield i, ys, yps
+        y, yp = ys[-1], yps[-1]
+
+
 def spectral_det(spec: OperatorSpec, lam: complex) -> complex:
     """Renormalized boundary value y(0; lambda); zero exactly at eigenvalues.
 
@@ -333,24 +382,39 @@ def spectral_det(spec: OperatorSpec, lam: complex) -> complex:
 # real reference spectrum (c = 1)
 # ---------------------------------------------------------------------------
 
-def _bracket_grid(alpha: float, n_max: int) -> np.ndarray:
-    """t-grid from 0.7 t_1 to the top of the mode window.
+def _oscillation_count(alpha: float, ts: np.ndarray, X: float) -> Tuple[np.ndarray, np.ndarray]:
+    """Zeros of the decaying solution y(.; t) on (0, X) at c = 1, and y(0; t).
 
-    Steps are p A^p t^{(p-1)/p} / 40, with p = 2a/(a+2) and A as in
-    t_asymptotic.  The asymptotic spacing is dt/dn = p A t^{(p-1)/p}, so
-    this places 40 A^{1-p} points per spacing: 92 at alpha 2/3, 67 at 1,
-    40 at 2 and 31 at 3.
+    The Sturm oscillation theorem makes the count the number of eigenvalues
+    below t.  y is the shooting solution of _shoot_many (WKB seed at X, the
+    same interval factors), marched to every node of _mesh(X) for all t at
+    once by _prefix_blocks; the sign changes between consecutive nodes are
+    summed block by block, so only one block of node values is ever held.
+    Zeros of y'' = (x^a - t) y lie at least pi/sqrt(t) apart, so on a mesh
+    with max(h) sqrt(t) < pi no interval holds two of them and the node
+    count is exact.  Raises BracketError when that bound fails or a node
+    value is exactly 0, and OverflowGuardError when one is not finite.
     """
-    p = 2.0 * alpha / (alpha + 2.0)
-    a_const = math.pi / bs_constant(alpha)
-    t_lo = 0.7 * t_asymptotic(1, alpha)
-    t_hi = _mode_window(alpha, n_max)[0]
-    pts = [t_lo]
-    t = t_lo
-    while t < t_hi:
-        t += p * a_const ** p * t ** ((p - 1.0) / p) / 40.0
-        pts.append(min(t, t_hi))
-    return np.array(pts)
+    ts = np.asarray(ts, dtype=float)
+    xs = _mesh(X)
+    bound = float(np.max(xs[:-1] - xs[1:])) * math.sqrt(float(np.max(ts)))
+    if not bound < math.pi:
+        raise BracketError(
+            f"mesh too coarse to count zeros: max(h) sqrt(t) = {bound:.3g} is not below pi"
+        )
+    y0 = np.full(ts.shape, X ** (-0.25 * alpha))
+    yp0 = np.full(ts.shape, -(X ** (0.25 * alpha)))
+    counts = np.zeros(ts.shape, dtype=int)
+    for _i, y, _yp in _prefix_blocks(1.0, alpha, xs, ts, y0, yp0, _decay(1.0, alpha, xs)):
+        _guard(y)
+        zero = np.flatnonzero(np.any(y == 0.0, axis=0))
+        if zero.size:
+            raise BracketError(
+                f"y(.; t) at t = {float(ts[zero[0]])!r} is exactly 0 at a node, so its sign is undefined "
+                f"(the scaled amplitude underflows on the truncation X = {X!r})"
+            )
+        counts += np.count_nonzero(np.signbit(y[1:]) != np.signbit(y[:-1]), axis=0)
+    return counts, y[-1]
 
 
 def real_spectrum(
@@ -362,9 +426,14 @@ def real_spectrum(
     """First n_max Dirichlet eigenvalues of -y'' + x^a y on the half line.
 
     Inward shooting from X with the WKB-decaying seed; eigenvalues are the
-    zeros of t -> y(0; t), bracketed on a grid built from the asymptotic
-    law and refined by safeguarded secant/bisection.  Results are memoized
-    per (alpha, n_max, X, tol); everything involved is deterministic.
+    zeros of t -> y(0; t).  The brackets are the asymptotic-law points
+    T_k = ((k - 1/4) A)^{2a/(a+2)} at k = 1/2, 3/2, ..., n_max + 1/2, and
+    each is certified by an oscillation count: y(.; T_k) must have exactly
+    k - 1/2 zeros on (0, X), so [T_{k-1/2}, T_{k+1/2}] holds t_k and no other
+    eigenvalue.  A count that disagrees raises BracketError, naming the
+    first point.  The brackets are refined by safeguarded
+    secant/bisection.  Results are memoized per (alpha, n_max, X, tol);
+    everything involved is deterministic.
     """
     if n_max < 1:
         raise ValueError("n_max must be positive")
@@ -383,18 +452,20 @@ def _real_spectrum_cached(
     elif X < x_needed:
         raise ValueError(f"X={X} below the safe truncation {x_needed:.3f}")
 
-    grid = _bracket_grid(alpha, n_max)
-    vals = _shoot_many(1.0, alpha, grid, X).real
-    sign = np.sign(vals)
-    idx = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
-    if len(idx) < n_max:
+    # t_asymptotic at the half-integers n - 1/2 = 1/2, ..., n_max + 1/2
+    ts = ((np.arange(n_max + 1) + 0.25) * (math.pi / bs_constant(alpha))) ** (
+        2.0 * alpha / (alpha + 2.0)
+    )
+    counts, vals = _oscillation_count(alpha, ts, X)
+    bad = np.flatnonzero(counts != np.arange(n_max + 1))
+    if bad.size:
+        j = int(bad[0])
         raise BracketError(
-            f"found {len(idx)} sign changes, need {n_max}; enlarge X or the grid"
+            f"y(.; t) has {counts[j]} zeros at t = {float(ts[j])!r} (k = {j + 0.5}), need {j}: "
+            f"the asymptotic law does not separate the eigenvalues there, or X = {X!r} is too short"
         )
-    idx = idx[:n_max]
     lo, hi = refine_brackets(
-        lambda ts: _shoot_many(1.0, alpha, ts, X).real,
-        grid[idx], grid[idx + 1], vals[idx], vals[idx + 1], tol,
+        lambda t: _shoot_many(1.0, alpha, t, X).real, ts[:-1], ts[1:], vals[:-1], vals[1:], tol
     )
     return tuple(float(r) for r in 0.5 * (lo + hi))
 
@@ -470,37 +541,21 @@ def _march_nodes(
     common exponential factor dropped.  The path is the grid merged with the
     shooting mesh, with one Magnus step per interval; every step has
     determinant 1, so the Wronskian of u and v is conserved to rounding.
-    In blocks of 2048 intervals, the up-sweep keeps every level of the
-    pairwise products and the down-sweep applies the level-l products to
-    the values known at multiples of 2^(l+1), which fills in the odd
-    multiples of 2^l (a prefix product in log depth).
+    The node values come from the blocked prefix product _prefix_blocks.
     """
     c, alpha = spec.c, spec.alpha
     xs = spec.grid()
     # a node on both is a step of length 0, whose matrix is the identity
     nodes = np.sort(np.concatenate((xs, _mesh(spec.X))))
     path = nodes[::-1] if inward else nodes
+    if inward:
+        y0, yp0 = spec.X ** (-0.25 * alpha), -cmath.sqrt(c) * spec.X ** (0.25 * alpha)
+    else:
+        y0, yp0 = 0.0, 1.0
     ys = np.empty(len(path), dtype=complex)
     yps = np.empty(len(path), dtype=complex)
-    if inward:
-        ys[0], yps[0] = spec.X ** (-0.25 * alpha), -cmath.sqrt(c) * spec.X ** (0.25 * alpha)
-    else:
-        ys[0], yps[0] = 0.0, 1.0
-    for i in range(0, len(path) - 1, 2048):
-        seg = path[i : i + 2049]
-        levels = [_magnus(c, alpha, seg[:-1], seg[1:], lam)]
-        while len(levels[-1][0]) > 1:
-            levels.append(_pair_products(levels[-1]))
-        y, yp = ys[i : i + len(seg)], yps[i : i + len(seg)]
-        a, b, cc, d = (e[0] for e in levels[-1])
-        y[-1], yp[-1] = a * y[0] + b * yp[0], cc * y[0] + d * yp[0]
-        for level in range(len(levels) - 2, -1, -1):
-            # an odd leftover at the end only passes through: its end is known
-            step, pairs = 2 << level, len(levels[level][0]) // 2
-            src = slice(0, pairs * step, step)
-            dst = slice(step // 2, step // 2 + pairs * step, step)
-            a, b, cc, d = (e[0 : 2 * pairs : 2] for e in levels[level])
-            y[dst], yp[dst] = a * y[src] + b * yp[src], cc * y[src] + d * yp[src]
+    for i, y, yp in _prefix_blocks(c, alpha, path, lam, y0, yp0):
+        ys[i : i + len(y)], yps[i : i + len(y)] = y, yp
     _guard(ys)
     _guard(yps)
     if inward:

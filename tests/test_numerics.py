@@ -191,6 +191,31 @@ def test_refine_brackets_vectorized():
     assert_allclose(0.5 * (lo + hi), targets, atol=1e-10)
 
 
+def test_refine_brackets_leaves_bisection_after_one_step():
+    # a bisection halves the bracket, which never counts as the secant
+    # shrinking it; the lane goes back to the secant after each bisection
+    f = lambda xs: np.exp(10.0 * np.asarray(xs)) - math.exp(5.0)
+    calls = []
+
+    def f_many(xs):
+        calls.append(len(xs))
+        return f(xs)
+
+    lo, hi = refine_brackets(f_many, [0.0], [1.0], f([0.0]), f([1.0]), 1e-12)
+    assert len(calls) <= 20
+    assert lo[0] <= 0.5 <= hi[0] and hi[0] - lo[0] <= 1e-12
+
+
+def test_refine_brackets_tiny_values():
+    # the product of two values below ~1e-162 underflows to 0; the sides
+    # must be chosen by sign
+    f_many = lambda xs: 1e-200 * (np.asarray(xs) - 0.3)
+    lo, hi = refine_brackets(f_many, [0.0], [1.0], f_many([0.0]), f_many([1.0]), 1e-12)
+    assert lo[0] <= 0.3 <= hi[0] and hi[0] - lo[0] <= 1e-12
+    with pytest.raises(BracketError):
+        refine_brackets(f_many, [0.5], [1.0], f_many([0.5]), f_many([1.0]), 1e-12)
+
+
 # ---------------------------------------------------------------------------
 # complex roots
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from wkbspec.errors import SignAnomalyError, WronskianError
+from wkbspec.errors import BracketError, SignAnomalyError, WronskianError
 from wkbspec.spectrum import (
     OperatorSpec,
     SampledFunction,
@@ -21,7 +21,14 @@ from wkbspec.spectrum import (
     spectral_det,
     t_asymptotic,
 )
-from wkbspec.spectrum import _magnus, _march_nodes, _mesh
+from wkbspec.spectrum import (
+    _magnus,
+    _march_nodes,
+    _mesh,
+    _mode_window,
+    _oscillation_count,
+    _shoot_many,
+)
 
 ALPHA_23 = 2.0 / 3.0
 
@@ -157,6 +164,62 @@ def test_real_spectrum_noninteger_alpha():
     dev = [abs(t / t_asymptotic(n, 1.5) - 1.0) for n, t in enumerate(ts, start=1)]
     assert all(t > 0 for t in ts)
     assert dev[2] < dev[1] < dev[0] < 0.01
+
+
+@pytest.mark.parametrize("alpha, n", [(ALPHA_23, 40), (1.0, 20), (2.0, 10), (0.5, 10)])
+def test_oscillation_count_around_each_eigenvalue(alpha, n):
+    # Sturm: y(.; t) has as many zeros on (0, X) as there are eigenvalues below t
+    ts = np.array(real_spectrum(alpha, n))
+    X = default_truncation(alpha, _mode_window(alpha, n)[0])
+    below, _ = _oscillation_count(alpha, ts * (1.0 - 1e-7), X)
+    above, _ = _oscillation_count(alpha, ts * (1.0 + 1e-7), X)
+    assert below.tolist() == list(range(n))
+    assert above.tolist() == list(range(1, n + 1))
+
+
+def test_oscillation_count_returns_the_proxy():
+    ts = np.array([1.0, 5.0, 9.0])
+    X = default_truncation(2.0, 10.0)
+    counts, y0 = _oscillation_count(2.0, ts, X)
+    assert counts.tolist() == [0, 1, 2]
+    assert_allclose(y0, _shoot_many(1.0, 2.0, ts, X).real, rtol=1e-10)
+
+
+def test_oscillation_count_rejects_coarse_mesh():
+    # max(h) sqrt(t) >= pi: one mesh interval could hold two zeros
+    with pytest.raises(BracketError, match="too coarse"):
+        _oscillation_count(1.0, np.array([1.0, 1e4]), 1e3)
+
+
+def test_real_spectrum_refuses_a_disagreeing_count(monkeypatch):
+    import wkbspec.spectrum as spectrum
+
+    count = spectrum._oscillation_count
+
+    def miscount(alpha, ts, X):
+        counts, y0 = count(alpha, ts, X)
+        counts[2:] += 1  # as if two eigenvalues shared [T_{3/2}, T_{5/2}]
+        return counts, y0
+
+    monkeypatch.setattr(spectrum, "_oscillation_count", miscount)
+    with pytest.raises(BracketError, match=r"has 3 zeros at t = 8\.99.* \(k = 2\.5\), need 2"):
+        real_spectrum(2.0, 4, tol=1e-9)
+
+
+def test_real_spectrum_alpha02_raises():
+    # the scaled amplitude of y(.; t) underflows to 0 on this long truncation
+    with pytest.raises(BracketError, match="underflows"):
+        real_spectrum(0.2, 30)
+
+
+def test_real_spectrum_roots_are_sign_changes_of_the_proxy():
+    # the proxy is below 1e-162 at many of these roots, where a product of
+    # two values underflows to 0
+    ts = np.array(real_spectrum(ALPHA_23, 60))
+    X = default_truncation(ALPHA_23, _mode_window(ALPHA_23, 60)[0])
+    lo = _shoot_many(1.0, ALPHA_23, ts * (1.0 - 1e-9), X).real
+    hi = _shoot_many(1.0, ALPHA_23, ts * (1.0 + 1e-9), X).real
+    assert np.all(np.sign(lo) * np.sign(hi) < 0)
 
 
 # ---------------------------------------------------------------------------
