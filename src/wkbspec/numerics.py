@@ -144,9 +144,10 @@ def refine_brackets(
     """Vectorized bracketed root refinement of a real function.
 
     f_many maps an array of abscissae to an array of values, one call per
-    round, so a batch of roots converges in lockstep; k = 1 is the scalar
-    case.  Secant steps clipped into the bracket, with a bisection wherever
-    the secant stopped shrinking the bracket for two rounds.  Sides are
+    round with only the lanes whose bracket is still wider than tol, so a
+    batch of roots converges in lockstep; k = 1 is the scalar case.  Secant
+    steps clipped into the bracket, with a bisection wherever the secant
+    stopped shrinking the bracket for two rounds.  Sides are
     chosen by the signs of the values, so values of any magnitude work.
     Returns the final (lo, hi) arrays: every bracket still holds a sign
     change, lies inside its initial one and is at most tol wide, or
@@ -175,7 +176,8 @@ def refine_brackets(
         # fall back to bisection only where the secant stopped shrinking
         bisect = stall >= 2
         x = np.where(bisect, mid, sec)
-        fx = np.asarray(f_many(x), dtype=float)
+        fx = np.zeros_like(x)  # closed lanes are not evaluated and do not move
+        fx[active] = np.asarray(f_many(x[active]), dtype=float)
         left = np.sign(flo) * np.sign(fx) <= 0.0
         new_hi = np.where(active & left, x, hi)
         new_fhi = np.where(active & left, fx, fhi)

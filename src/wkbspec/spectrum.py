@@ -16,10 +16,13 @@ lambda with exactly the eigenvalues as zeros.  The reference spectrum is
 bracketed between asymptotic-law points, and each bracket is certified by
 a Sturm oscillation count: the number of zeros of the decaying solution
 y(.; t) on (0, X), counted as sign changes at the mesh nodes, is the
-number of eigenvalues below t.  The count, the Green-kernel pair and the
-eigenfunctions take every node value from one blocked prefix product of
-the same pairwise products (_prefix_blocks); the pair and the
-eigenfunctions run on the mesh joined with the caller's grid.
+number of eigenvalues below t.  Every chain of matrices comes from one
+generator of blocks (_blocks): the proxy multiplies each block pairwise,
+and the count, the Green-kernel pair and the eigenfunctions take every
+node value from a prefix product over the same blocks (_node_values); the
+pair and the eigenfunctions run on the mesh joined with the caller's
+grid.  Complex spectra are polished on a rotated ray, which keeps the
+proxy's zeros accurate over the whole sector |arg c| < pi.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -59,6 +62,9 @@ __all__ = [
 ]
 
 _OVERFLOW_BOUND = 1e300
+# bytes of each matrix-entry array in one block of _blocks: 4096 complex or
+# 8192 real (interval, lambda) pairs
+_BLOCK_BYTES = 1 << 16
 
 
 # ---------------------------------------------------------------------------
@@ -277,40 +283,51 @@ def _guard(values: np.ndarray) -> np.ndarray:
     return values
 
 
+def _wkb_seed(c, alpha: float, X: float):
+    """(y, y') at X of the solution that decays at infinity: the WKB pair
+    (c x^a)^{-1/4} exp(-sqrt(c) x^{a/2+1}/(a/2+1)) with the common factor
+    c^{-1/4} exp(...) dropped."""
+    return X ** (-0.25 * alpha), -(c**0.5) * X ** (0.25 * alpha)
+
+
+def _blocks(c, alpha: float, path: np.ndarray, lam, scale=None):
+    """Magnus matrices of y'' = (c x^a - lam) y on the intervals of path, by blocks.
+
+    lam is a scalar or a 1-d array of spectral parameters, the trailing
+    axis of every matrix entry; scale, when given, holds one factor per
+    interval of path that multiplies its matrix.  A block spans as many
+    intervals as fit _BLOCK_BYTES in each entry array, and at least 8;
+    consecutive blocks share their end node.
+    """
+    lane = (slice(None),) + (None,) * np.ndim(lam)  # intervals down, lambdas across
+    rows = max(8, _BLOCK_BYTES // (np.result_type(c, lam).itemsize * max(1, np.size(lam))))
+    for i in range(0, len(path) - 1, rows):
+        seg = path[i : i + rows + 1]
+        block_scale = 1.0 if scale is None else scale[i : i + rows][lane]
+        yield _magnus(c, alpha, seg[:-1][lane], seg[1:][lane], lam, block_scale)
+
+
 def _shoot_many(c: complex, alpha: float, lams: np.ndarray, X: float) -> np.ndarray:
     """Renormalized y(0; lambda) for a batch of spectral parameters.
 
     Chains Magnus transfer matrices from the WKB seed at X down to 0 on the
     fixed mesh _mesh(X).  Each interval carries its _decay factor, which
     cancels the dominant WKB growth so amplitudes stay in range while the
-    proxy remains entire in lambda.  Work runs in blocks of about 4096
-    (interval, lambda) pairs, at most 512 lambdas wide so that every block
-    spans 8 or more intervals; inside a block the matrices are multiplied
-    pairwise in log depth.
+    proxy remains entire in lambda.  The matrices of each block of _blocks
+    are multiplied pairwise in log depth, one level replacing the last.
     """
     c = complex(c)
     lams = np.asarray(lams).reshape(-1)
     if c.imag == 0.0 and np.isrealobj(lams):
         c = c.real  # real coupling and parameters: real arithmetic throughout
     xs = _mesh(X)
-    x0, x1 = xs[:-1, None], xs[1:, None]
-    decay = _decay(c, alpha, xs)[:, None]
-
-    out = np.empty(len(lams), dtype=complex)
-    for j in range(0, len(lams), 512):
-        lam = lams[None, j : j + 512]
-        # the WKB pair at X with the common exponential factor dropped
-        y = np.full(lam.shape[1], X ** (-0.25 * alpha), dtype=complex)
-        yp = np.full(lam.shape[1], -cmath.sqrt(c) * X ** (0.25 * alpha), dtype=complex)
-        rows = 4096 // lam.shape[1]
-        for i in range(0, len(x0), rows):
-            m = _magnus(c, alpha, x0[i : i + rows], x1[i : i + rows], lam, decay[i : i + rows])
-            while len(m[0]) > 1:
-                m = _pair_products(m)
-            a, b, cc, d = (e[0] for e in m)
-            y, yp = a * y + b * yp, cc * y + d * yp
-        out[j : j + 512] = _guard(y)
-    return out
+    y, yp = _wkb_seed(c, alpha, X)
+    for m in _blocks(c, alpha, xs, lams, _decay(c, alpha, xs)):
+        while len(m[0]) > 1:
+            m = _pair_products(m)
+        a, b, cc, d = (e[0] for e in m)
+        y, yp = a * y + b * yp, cc * y + d * yp
+    return _guard(y).astype(complex)
 
 
 def _pair_products(m):
@@ -325,32 +342,26 @@ def _pair_products(m):
     return tuple(np.concatenate((p, e[n:])) for p, e in zip(prod, m))
 
 
-def _prefix_blocks(c, alpha: float, path: np.ndarray, lam, y, yp, scale=None):
+def _node_values(c, alpha: float, path: np.ndarray, lam, y, yp, scale=None):
     """Values (y, y') of y'' = (c x^a - lam) y at the nodes of path, by blocks.
 
-    lam is a scalar or a 1-d array of spectral parameters, the trailing
-    axis of every value; y and yp hold the values at path[0], and scale,
-    when given, one factor per interval of path multiplying its matrix.
-    Yields (i, ys, yps) for blocks of up to 2048 intervals: the values at
-    path[i], ..., path[i + len(ys) - 1], so the first node of a block is
-    the last of the block before.  In a block, the up-sweep keeps every
-    level of the pairwise products and the down-sweep applies the level-l
-    products to the values known at multiples of 2^(l+1), which fills in
-    the odd multiples of 2^l (a prefix product in log depth).
+    y and yp hold the values at path[0]; lam and scale are as in _blocks.
+    Yields (ys, yps) for each block of _blocks: the values from its first
+    node to its last, which is the first node of the next block.  The
+    up-sweep keeps every level of the pairwise products, and the down-sweep
+    applies the level-l products to the values known at multiples of
+    2^(l+1), which fills in the odd multiples of 2^l (the prefix product of
+    Blelloch, 1990, in log depth).
     """
-    lane = (slice(None),) + (None,) * np.ndim(lam)  # intervals down, lambdas across
-    for i in range(0, len(path) - 1, 2048):
-        seg = path[i : i + 2049]
-        block_scale = 1.0 if scale is None else scale[i : i + 2048][lane]
-        levels = [_magnus(c, alpha, seg[:-1][lane], seg[1:][lane], lam, block_scale)]
+    for m in _blocks(c, alpha, path, lam, scale):
+        levels = [m]
         while len(levels[-1][0]) > 1:
             levels.append(_pair_products(levels[-1]))
-        shape = (len(seg),) + levels[0][0].shape[1:]
-        ys = np.empty(shape, dtype=np.result_type(levels[0][0], y))
+        ys = np.empty((len(m[0]) + 1,) + m[0].shape[1:], dtype=np.result_type(m[0], y))
         yps = np.empty_like(ys)
         ys[0], yps[0] = y, yp
         a, b, cc, d = (e[0] for e in levels[-1])
-        ys[-1], yps[-1] = a * ys[0] + b * yps[0], cc * ys[0] + d * yps[0]
+        ys[-1], yps[-1] = a * y + b * yp, cc * y + d * yp
         for level in range(len(levels) - 2, -1, -1):
             # an odd leftover at the end only passes through: its end is known
             step, pairs = 2 << level, len(levels[level][0]) // 2
@@ -358,7 +369,7 @@ def _prefix_blocks(c, alpha: float, path: np.ndarray, lam, y, yp, scale=None):
             dst = slice(step // 2, step // 2 + pairs * step, step)
             a, b, cc, d = (e[0 : 2 * pairs : 2] for e in levels[level])
             ys[dst], yps[dst] = a * ys[src] + b * yps[src], cc * ys[src] + d * yps[src]
-        yield i, ys, yps
+        yield ys, yps
         y, yp = ys[-1], yps[-1]
 
 
@@ -388,7 +399,7 @@ def _oscillation_count(alpha: float, ts: np.ndarray, X: float) -> Tuple[np.ndarr
     The Sturm oscillation theorem makes the count the number of eigenvalues
     below t.  y is the shooting solution of _shoot_many (WKB seed at X, the
     same interval factors), marched to every node of _mesh(X) for all t at
-    once by _prefix_blocks; the sign changes between consecutive nodes are
+    once by _node_values; the sign changes between consecutive nodes are
     summed block by block, so only one block of node values is ever held.
     Zeros of y'' = (x^a - t) y lie at least pi/sqrt(t) apart, so on a mesh
     with max(h) sqrt(t) < pi no interval holds two of them and the node
@@ -402,10 +413,9 @@ def _oscillation_count(alpha: float, ts: np.ndarray, X: float) -> Tuple[np.ndarr
         raise BracketError(
             f"mesh too coarse to count zeros: max(h) sqrt(t) = {bound:.3g} is not below pi"
         )
-    y0 = np.full(ts.shape, X ** (-0.25 * alpha))
-    yp0 = np.full(ts.shape, -(X ** (0.25 * alpha)))
     counts = np.zeros(ts.shape, dtype=int)
-    for _i, y, _yp in _prefix_blocks(1.0, alpha, xs, ts, y0, yp0, _decay(1.0, alpha, xs)):
+    seed = _wkb_seed(1.0, alpha, X)
+    for y, _yp in _node_values(1.0, alpha, xs, ts, *seed, _decay(1.0, alpha, xs)):
         _guard(y)
         zero = np.flatnonzero(np.any(y == 0.0, axis=0))
         if zero.size:
@@ -477,8 +487,15 @@ def _real_spectrum_cached(
 def complex_spectrum(spec: OperatorSpec, n_max: int, tol: float = 1e-9) -> SpectrumResult:
     """Eigenvalues of -y'' + c x^a y, polished on the determinant proxy.
 
-    Seeds at c^{2/(a+2)} t_asymptotic(n); every polished root is verified to
-    be c^{2/(a+2)} times a positive real that matches the c = 1 reference
+    The proxy is shot along the ray x = r e^{i phi}, r in [0, X], with
+    phi = (clip(arg c, -1, 1) - arg c)/(a + 2): there y(r) = Y(r e^{i phi})
+    solves y'' = (c e^{i(a+2)phi} r^a - lambda e^{2i phi}) y, whose coupling
+    has |arg| <= 1, and keeps the Dirichlet condition at 0, the decay at
+    infinity and so the zeros in lambda.  For |arg c| <= 1 the ray is the
+    real axis; the coupling is never turned to arg 0, so the check against
+    the c = 1 reference below stays independent.  Seeds at
+    c^{2/(a+2)} t_asymptotic(n); every polished root is verified to be
+    c^{2/(a+2)} times a positive real that matches the c = 1 reference
     spectrum to relative 1e-6 (the scaling law is exact, so a violation is
     an implementation-bug signal, not a physical possibility).
     """
@@ -497,8 +514,11 @@ def complex_spectrum(spec: OperatorSpec, n_max: int, tol: float = 1e-9) -> Spect
     t_asym = np.array([t_asymptotic(n, alpha) for n in range(1, n_max + 1)])
     seeds = scale_c * t_asym
 
+    arg = cmath.phase(spec.c)
+    phi = (min(max(arg, -1.0), 1.0) - arg) / (alpha + 2.0)
+    c_ray, lam_turn = spec.c * cmath.exp(1j * (alpha + 2.0) * phi), cmath.exp(2j * phi)
     roots, resid = muller_many(
-        lambda lams: _shoot_many(spec.c, alpha, lams, spec.X), seeds, tol
+        lambda lams: _shoot_many(c_ray, alpha, lams * lam_turn, spec.X), seeds, tol
     )
 
     # scaling-law verification against the real reference spectrum
@@ -541,21 +561,17 @@ def _march_nodes(
     common exponential factor dropped.  The path is the grid merged with the
     shooting mesh, with one Magnus step per interval; every step has
     determinant 1, so the Wronskian of u and v is conserved to rounding.
-    The node values come from the blocked prefix product _prefix_blocks.
+    The node values come from the blocked prefix product _node_values.
     """
     c, alpha = spec.c, spec.alpha
     xs = spec.grid()
     # a node on both is a step of length 0, whose matrix is the identity
     nodes = np.sort(np.concatenate((xs, _mesh(spec.X))))
     path = nodes[::-1] if inward else nodes
-    if inward:
-        y0, yp0 = spec.X ** (-0.25 * alpha), -cmath.sqrt(c) * spec.X ** (0.25 * alpha)
-    else:
-        y0, yp0 = 0.0, 1.0
-    ys = np.empty(len(path), dtype=complex)
-    yps = np.empty(len(path), dtype=complex)
-    for i, y, yp in _prefix_blocks(c, alpha, path, lam, y0, yp0):
-        ys[i : i + len(y)], yps[i : i + len(y)] = y, yp
+    seed = _wkb_seed(c, alpha, spec.X) if inward else (0.0, 1.0)
+    blocks = zip(*_node_values(c, alpha, path, lam, *seed))
+    # consecutive blocks share their end node
+    ys, yps = (np.concatenate([v[0][:1]] + [b[1:] for b in v]) for v in blocks)
     _guard(ys)
     _guard(yps)
     if inward:
@@ -577,7 +593,8 @@ def eigenfunction(spec: OperatorSpec, lam: complex) -> SampledFunction:
 
     At an eigenvalue this is the eigenfunction (the boundary value y(0)
     vanishes there); away from eigenvalues it is simply the subdominant
-    solution.
+    solution.  The samples lie on the real axis, so the march is not
+    rotated as in complex_spectrum; it runs at the c of spec as given.
     """
     y, _yp = _march_nodes(spec, inward=True, lam=complex(lam))
     return SampledFunction(spec.grid(), y / np.max(np.abs(y)))
@@ -611,7 +628,8 @@ def apply_inverse(spec: OperatorSpec, f: SampledFunction) -> SampledFunction:
     The infinite tail of the second integral is truncated at X, which the
     super-exponential decay of v justifies.  y(0) = 0 exactly by
     construction.  The Wronskian is checked constant to relative 1e-6
-    across the grid.
+    across the grid.  The data and the pair live on the real axis, so
+    nothing is rotated as in complex_spectrum.
     """
     xs = spec.grid()
     if f.grid.shape != xs.shape or not np.allclose(f.grid, xs, rtol=0, atol=1e-12 * spec.X):

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import cmath
-import math
 
 from .stokes import StokesGraph
 

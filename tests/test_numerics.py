@@ -206,6 +206,23 @@ def test_refine_brackets_leaves_bisection_after_one_step():
     assert lo[0] <= 0.5 <= hi[0] and hi[0] - lo[0] <= 1e-12
 
 
+def test_refine_brackets_evaluates_only_open_lanes():
+    # the second bracket starts tol wide, so its lane is never shot
+    seen = []
+
+    def f_many(xs):
+        seen.append(np.array(xs))
+        return (xs - 0.3) * (xs - 0.6)
+
+    lo, hi = np.array([0.0, 0.6 - 5e-13]), np.array([0.45, 0.6 + 5e-13])
+    tol = hi[1] - lo[1]
+    out_lo, out_hi = refine_brackets(f_many, lo, hi, f_many(lo), f_many(hi), tol)
+    seen = seen[2:]  # the two end-value calls above
+    assert seen and all(len(xs) == 1 and not lo[1] <= xs[0] <= hi[1] for xs in seen)
+    assert out_lo[1] == lo[1] and out_hi[1] == hi[1]
+    assert out_lo[0] <= 0.3 <= out_hi[0] and out_hi[0] - out_lo[0] <= tol
+
+
 def test_refine_brackets_tiny_values():
     # the product of two values below ~1e-162 underflows to 0; the sides
     # must be chosen by sign

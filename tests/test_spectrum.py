@@ -7,6 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from wkbspec.errors import BracketError, SignAnomalyError, WronskianError
+from wkbspec.numerics import muller_many
 from wkbspec.spectrum import (
     OperatorSpec,
     SampledFunction,
@@ -178,11 +179,13 @@ def test_oscillation_count_around_each_eigenvalue(alpha, n):
 
 
 def test_oscillation_count_returns_the_proxy():
-    ts = np.array([1.0, 5.0, 9.0])
-    X = default_truncation(2.0, 10.0)
-    counts, y0 = _oscillation_count(2.0, ts, X)
-    assert counts.tolist() == [0, 1, 2]
-    assert_allclose(y0, _shoot_many(1.0, 2.0, ts, X).real, rtol=1e-10)
+    for alpha in (2.0, ALPHA_23, 0.5):
+        # the asymptotic-law points T_{1/2}, T_{3/2}, T_{5/2}; 1, 5, 9 at alpha 2
+        ts = ((np.arange(3) + 0.25) * (math.pi / bs_constant(alpha))) ** (2.0 * alpha / (alpha + 2.0))
+        X = default_truncation(alpha, 10.0)
+        counts, y0 = _oscillation_count(alpha, ts, X)
+        assert counts.tolist() == [0, 1, 2]
+        assert_allclose(y0, _shoot_many(1.0, alpha, ts, X).real, rtol=1e-10)
 
 
 def test_oscillation_count_rejects_coarse_mesh():
@@ -257,8 +260,6 @@ def test_det_requires_truncation_beyond_turning_point():
 
 
 def test_muller_polishes_first_oscillator_eigenvalue():
-    from wkbspec.numerics import muller_many
-
     spec = OperatorSpec.for_modes(1.0 + 0j, 2.0, 4)
     calls = []
 
@@ -269,6 +270,19 @@ def test_muller_polishes_first_oscillator_eigenvalue():
     roots, _ = muller_many(f_many, [2.8], 1e-8)
     assert abs(roots[0] - 3.0) < 1e-7
     assert calls[0] == 3 and len(calls) - 1 <= 10
+
+
+@pytest.mark.parametrize("c", [1.0, cmath.exp(0.5j)])
+def test_shoot_does_not_depend_on_the_batch(c):
+    # block boundaries follow the lane count and the dtype; the values must not
+    lams = cmath.exp(0.75 * cmath.log(c)) * np.array([t_asymptotic(k, ALPHA_23) for k in range(1, 41)])
+    if c == 1.0:
+        lams = lams.real
+    X = OperatorSpec.for_modes(c, ALPHA_23, 40).X
+    for lanes in (1, 9, 40):
+        batch = _shoot_many(c, ALPHA_23, lams[:lanes], X)
+        single = np.array([_shoot_many(c, ALPHA_23, lams[k : k + 1], X)[0] for k in range(lanes)])
+        assert np.max(np.abs(batch - single)) <= 1e-12 * np.max(np.abs(batch))
 
 
 def test_det_sign_changes_across_real_roots():
@@ -299,6 +313,34 @@ def test_complex_spectrum_rotation():
         # t strictly increasing and positive
         assert all(t > 0 for t in res.t_values)
         assert all(b > a for a, b in zip(res.t_values[:-1], res.t_values[1:]))
+
+
+@pytest.mark.parametrize("arg", [2.05, 2.2, 2.6, 3.0])
+def test_complex_spectrum_deep_in_the_sector(arg):
+    # past |arg c| = 2 the proxy on the real axis loses its zeros; the
+    # rotated ray keeps them
+    c = cmath.exp(1j * arg)
+    res = complex_spectrum(OperatorSpec.for_modes(c, ALPHA_23, 5), 5)
+    assert_allclose(res.t_values, real_spectrum(ALPHA_23, 5), rtol=1e-6)
+    for lam in res.eigenvalues:
+        assert abs(cmath.phase(lam) - 0.75 * arg) < 1e-6
+
+
+@pytest.mark.parametrize("arg", [1.2, 1.6, -1.6])
+def test_rotated_and_unrotated_proxies_share_zeros(arg):
+    # x = r e^{i phi} turns y'' = (c x^a - lam) y into
+    # y'' = (c e^{i(a+2)phi} r^a - lam e^{2i phi}) y with the same eigenvalues
+    c = cmath.exp(1j * arg)
+    X = OperatorSpec.for_modes(c, ALPHA_23, 5).X
+    seeds = cmath.exp(0.75j * arg) * np.array(real_spectrum(ALPHA_23, 5))
+    zeros = []
+    for target in (arg, math.copysign(1.0, arg), math.copysign(0.5, arg)):
+        phi = (target - arg) / (ALPHA_23 + 2.0)
+        c_ray, turn = c * cmath.exp(1j * (ALPHA_23 + 2.0) * phi), cmath.exp(2j * phi)
+        roots, _ = muller_many(lambda lams: _shoot_many(c_ray, ALPHA_23, lams * turn, X), seeds, 1e-9)
+        zeros.append(roots)
+    assert_allclose(zeros[1], zeros[0], rtol=1e-6)
+    assert_allclose(zeros[2], zeros[0], rtol=1e-6)
 
 
 def test_complex_spectrum_simplicity_separation():
