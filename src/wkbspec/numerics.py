@@ -145,52 +145,65 @@ def refine_brackets(
 
     f_many maps an array of abscissae to an array of values, one call per
     round with only the lanes whose bracket is still wider than tol, so a
-    batch of roots converges in lockstep; k = 1 is the scalar case.  Secant
-    steps clipped into the bracket, with a bisection wherever the secant
-    stopped shrinking the bracket for two rounds.  Sides are
-    chosen by the signs of the values, so values of any magnitude work.
-    Returns the final (lo, hi) arrays: every bracket still holds a sign
-    change, lies inside its initial one and is at most tol wide, or
-    ConvergenceError is raised after _REFINE_ROUNDS rounds.
+    batch of roots converges in lockstep; k = 1 is the scalar case.  Each
+    lane takes Chandrupatla's step (Adv. Eng. Softw. 28, 1997): inverse
+    quadratic interpolation through the bracket ends and the point dropped
+    last, where its acceptance test says the three values are monotone
+    enough, and bisection otherwise; the first step is the secant.  A new
+    point keeps tol/64, and at least one ulp, from both ends: once the
+    interpolation has found a root to within that of an end, the next
+    point lands just past it and closes a bracket about tol/64 wide, so
+    its midpoint is good to far better than tol; an exact zero leaves
+    lo < hi the same way.  Sides are chosen by the signs of the values,
+    so values of any magnitude work.  Returns the final (lo, hi) arrays: every bracket still holds a
+    sign change, lies inside its initial one and is at most tol wide, or
+    ConvergenceError is raised after _REFINE_ROUNDS rounds.  A tol below
+    the float spacing (one ulp) at the larger bracket end, which no
+    bracket of floats need reach, raises ValueError before the first
+    round.
     """
     if not tol > 0.0:
         raise ValueError("tol must be positive")
-    lo = np.array(lo, dtype=float)
-    hi = np.array(hi, dtype=float)
-    flo = np.array(flo, dtype=float)
-    fhi = np.array(fhi, dtype=float)
+    a = np.array(lo, dtype=float)  # the newest point of each lane
+    b = np.array(hi, dtype=float)  # the other end of its bracket
+    fa = np.array(flo, dtype=float)
+    fb = np.array(fhi, dtype=float)
     # signs, not products: a product of two values below ~1e-162 underflows to 0
-    if np.any(np.sign(flo) * np.sign(fhi) > 0.0):
+    if np.any(np.sign(fa) * np.sign(fb) > 0.0):
         raise BracketError("refine_brackets requires sign changes in every bracket")
-    stall = np.zeros(len(lo), dtype=int)
+    ulp = float(np.max(np.spacing(np.maximum(np.abs(a), np.abs(b))), initial=0.0))
+    if tol < ulp:
+        raise ValueError(f"tol {tol!r} is below the float spacing (ulp {ulp:.3g}) at the bracket ends")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = fa / (fa - fb)  # secant: the fraction of the way from a to b
     for _ in range(_REFINE_ROUNDS):
-        width = hi - lo
-        active = width > tol
-        if not np.any(active):
+        open_ = np.flatnonzero(np.abs(b - a) > tol)
+        if not open_.size:
             break
-        denom = fhi - flo
-        safe = np.abs(denom) > 0
-        mid = 0.5 * (lo + hi)
-        sec = np.where(safe, (lo * fhi - hi * flo) / np.where(safe, denom, 1.0), mid)
-        sec = np.clip(sec, lo + 0.02 * width, hi - 0.02 * width)
-        # fall back to bisection only where the secant stopped shrinking
-        bisect = stall >= 2
-        x = np.where(bisect, mid, sec)
-        fx = np.zeros_like(x)  # closed lanes are not evaluated and do not move
-        fx[active] = np.asarray(f_many(x[active]), dtype=float)
-        left = np.sign(flo) * np.sign(fx) <= 0.0
-        new_hi = np.where(active & left, x, hi)
-        new_fhi = np.where(active & left, fx, fhi)
-        new_lo = np.where(active & ~left, x, lo)
-        new_flo = np.where(active & ~left, fx, flo)
-        shrunk = (new_hi - new_lo) < 0.4 * width
-        # a bisection halves the bracket, which the 0.4 test never counts as
-        # shrinking, so the secant gets its next two tries after each one
-        stall = np.where(shrunk | bisect | ~active, 0, stall + 1)
-        lo, hi, flo, fhi = new_lo, new_hi, new_flo, new_fhi
-    if np.any((hi - lo) > tol):
+        ao, bo, fao, fbo = a[open_], b[open_], fa[open_], fb[open_]
+        hop = np.maximum(tol / 64.0, np.spacing(np.maximum(np.abs(ao), np.abs(bo))))
+        tl = hop / np.abs(bo - ao)
+        to = np.where(np.isfinite(t[open_]), t[open_], 0.5)
+        x = ao + np.clip(to, tl, 1.0 - tl) * (bo - ao)
+        fx = np.asarray(f_many(x), dtype=float)
+        # the new point replaces the end of its own sign, which becomes c,
+        # the point dropped last; the other end stays
+        same = np.sign(fx) == np.sign(fao)
+        co, fco = np.where(same, ao, bo), np.where(same, fao, fbo)
+        bo, fbo = np.where(same, bo, ao), np.where(same, fbo, fao)
+        ao, fao = x, fx
+        a[open_], fa[open_], b[open_], fb[open_] = ao, fao, bo, fbo
+        with np.errstate(divide="ignore", invalid="ignore"):
+            xi = (ao - bo) / (co - bo)
+            phi = (fao - fbo) / (fco - fbo)
+            iqi = (phi * phi < xi) & ((1.0 - phi) ** 2 < 1.0 - xi)
+            # inverse quadratic interpolation through a, b and c, as a fraction of b - a
+            t_iqi = fao / (fbo - fao) * fco / (fbo - fco)
+            t_iqi += (co - ao) / (bo - ao) * fao / (fco - fao) * fbo / (fco - fbo)
+        t[open_] = np.where(iqi, t_iqi, 0.5)
+    if np.any(np.abs(b - a) > tol):
         raise ConvergenceError("bracket refinement did not reach tolerance")
-    return lo, hi
+    return np.minimum(a, b), np.maximum(a, b)
 
 
 def _muller_step(x: np.ndarray, f: np.ndarray) -> np.ndarray:

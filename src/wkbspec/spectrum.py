@@ -6,8 +6,10 @@ eigenvalues are polished zeros of a spectral-determinant proxy, the inverse
 operator acts through the Green kernel built from the two distinguished
 homogeneous solutions, and the singular values are 1/|lambda_n|.
 
-Every ODE solve goes through one kernel, the Magnus-4 transfer matrix of
-y'' = (c x^a - lambda) y over an interval (_magnus).  The determinant proxy
+Every ODE solve goes through one kernel, the sixth-order three-point Gauss
+Magnus transfer matrix of y'' = (c x^a - lambda) y over an interval
+(_magnus), on one mesh x = X s^2 whose size follows the problem's spectral
+window (_mesh_size), never the batch.  The determinant proxy
 is the boundary value y(0; lambda) of the solution that decays at
 infinity, chained inward from the truncation radius X with a WKB seed;
 a lambda-independent factor per interval keeps hundreds of orders of
@@ -65,6 +67,10 @@ _OVERFLOW_BOUND = 1e300
 # bytes of each matrix-entry array in one block of _blocks: 4096 complex or
 # 8192 real (interval, lambda) pairs
 _BLOCK_BYTES = 1 << 16
+# fewest intervals of a shooting mesh (_mesh_size)
+_MIN_INTERVALS = 1000
+# e-folds the decaying solution must keep on the other one in eigenfunction
+_SUPPRESSION = 16.0
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +210,8 @@ def default_truncation(alpha: float, t_top: float) -> float:
 # Magnus transfer kernel and the spectral-determinant proxy
 # ---------------------------------------------------------------------------
 
-_GAUSS_OFFSET = math.sqrt(3.0) / 6.0
+# three-point Gauss nodes 1/2 -+ sqrt15/10 and 1/2, as offsets from the midpoint
+_GAUSS_OFFSET = math.sqrt(15.0) / 10.0
 # Taylor coefficients of (cosh(sqrt z) - 1)/z and sinh(sqrt z)/sqrt z, highest first
 _COSHM1_TAYLOR = [1.0 / math.factorial(2 * k + 2) for k in range(6, -1, -1)]
 _SINHC_TAYLOR = [1.0 / math.factorial(2 * k + 1) for k in range(6, -1, -1)]
@@ -236,12 +243,21 @@ def _cosh_sinhc(z):
 
 
 def _magnus(c, alpha: float, x0, x1, lam, scale=1.0):
-    """Magnus-4 transfer matrices of y'' = (c x^a - lam) y from x0 to x1.
+    """Magnus-6 transfer matrices of y'' = (c x^a - lam) y from x0 to x1.
 
-    Two-point Gauss Magnus step: with q1, q2 the potential at the Gauss
-    points in the direction of travel and h = x1 - x0 (negative inward),
-    Omega = [[d, h], [h qbar, -d]], d = (sqrt3/12) h^2 (q1 - q2), and
-    exp(Omega) = cosh(mu) I + sinh(mu)/mu Omega with mu^2 = d^2 + h^2 qbar.
+    Three-point Gauss Magnus step (Blanes, Casas & Ros, BIT 40, 2000): with
+    q1, q2, q3 the potential c x^a - lam at the nodes 1/2 -+ sqrt15/10, 1/2
+    of the interval in the direction of travel, h = x1 - x0 (negative
+    inward) and the basis E = [[0, 1], [0, 0]], F = [[0, 0], [1, 0]],
+    H = diag(1, -1),
+    a1 = h (E + q2 F), a2 = (sqrt15 h/3)(q3 - q1) F, a3 = (10h/3)(q3 - 2q2 + q1) F,
+    Omega = a1 + a3/12 + [-20 a1 - a3 + [a1, a2], a2 - [a1, 2 a3 + [a1, a2]]/60]/240.
+    Omega stays in span{E, F, H}.  Written out with p = h q2, r and s the
+    coefficients of F in a2 and a3, u = h r and v = h s (lam cancels from
+    r, s, u and v), Omega = [[w, e], [f, -w]] with
+    e = h (1 + (u^2 - 20 v)/3600),  w = u (v - 600 + 40 h p)/7200,
+    f = p (1 + (u^2 + 20 v)/3600) + s/12 + (s v - 30 u r)/3600,
+    and exp(Omega) = cosh(mu) I + sinh(mu)/mu Omega, mu^2 = w^2 + e f.
     x0, x1 and lam broadcast against each other; scale multiplies every
     matrix.  Returns the entries (m11, m12, m21, m22) mapping (y, y') at x0
     to (y, y') at x1; each step has determinant scale^2.
@@ -249,23 +265,52 @@ def _magnus(c, alpha: float, x0, x1, lam, scale=1.0):
     h = x1 - x0
     mid = 0.5 * (x0 + x1)
     cq1 = c * (mid - _GAUSS_OFFSET * h) ** alpha
-    cq2 = c * (mid + _GAUSS_OFFSET * h) ** alpha
-    d = (0.5 * _GAUSS_OFFSET) * (h * h) * (cq1 - cq2)  # sqrt3/12; lam cancels
-    hq = h * (0.5 * (cq1 + cq2) - lam)
-    cosh, sinhc = _cosh_sinhc(d * d + h * hq)
+    cq2 = c * mid**alpha
+    cq3 = c * (mid + _GAUSS_OFFSET * h) ** alpha
+    r = (math.sqrt(15.0) / 3.0) * h * (cq3 - cq1)
+    s = (10.0 / 3.0) * h * (cq3 - 2.0 * cq2 + cq1)
+    u, v = h * r, h * s
+    e = h * (1.0 + (u * u - 20.0 * v) / 3600.0)
+    # w and f are affine in p, the only factor that varies with lam
+    p = h * (cq2 - lam)
+    w = u * (v - 600.0) / 7200.0 + (h * u / 180.0) * p
+    f = (s / 12.0 + (s * v - 30.0 * u * r) / 3600.0) + (1.0 + (u * u + 20.0 * v) / 3600.0) * p
+    cosh, sinhc = _cosh_sinhc(w * w + e * f)
     cosh *= scale
     sinhc *= scale
-    sd = sinhc * d
-    return cosh + sd, sinhc * h, sinhc * hq, cosh - sd
+    sw = sinhc * w
+    return cosh + sw, sinhc * e, sinhc * f, cosh - sw
 
 
-def _mesh(X: float) -> np.ndarray:
-    """The shooting mesh x = X s^{3/2}, s uniform on 4000 intervals, X down to 0.
+def _mesh_size(c, alpha: float, X: float, lam_top: float = 0.0) -> int:
+    """Number of intervals of the shooting mesh of a problem.
 
-    Intervals shrink like x^{1/3} toward the origin, where x^a is only
-    Holder for a < 1 and the low modes oscillate.
+    N = max(1000, ceil(3 X sqrt(L)), ceil(X sqrt|c X^a| / 8)), where L, the
+    top of the spectral window, is the larger of lam_top and |c| (X/1.5)^a.
+    A spectrum's truncation is at least 1.5 times the turning point of its
+    window top |c|^{2/(a+2)} t_top (_mode_window), and exactly that unless
+    the WKB suppression asks for more, so L is that top or above it.  The
+    longest step of _mesh, 2X/N at X, then turns the phase of the solution
+    by at most 2/3 below L, and spans at most 16 e-foldings of the WKB
+    growth at X, which the per-interval _decay factors cancel only in
+    part.  N depends on the problem (c, alpha, X and lam_top) only, never
+    on the spectral parameters of one batch.
     """
-    return X * np.linspace(1.0, 0.0, 4001) ** 1.5
+    top = max(float(lam_top), abs(c) * (X / 1.5) ** alpha)
+    return max(
+        _MIN_INTERVALS,
+        math.ceil(3.0 * X * math.sqrt(top)),
+        math.ceil(X * math.sqrt(abs(c) * X**alpha) / 8.0),
+    )
+
+
+def _mesh(X: float, n: int = _MIN_INTERVALS) -> np.ndarray:
+    """The shooting mesh x = X s^2, s uniform on n intervals, X down to 0.
+
+    Intervals shrink like x^{1/2} toward the origin, where x^a is only
+    Holder for a < 1 and the low modes oscillate.  _mesh_size gives n.
+    """
+    return X * np.linspace(1.0, 0.0, n + 1) ** 2
 
 
 def _decay(c, alpha: float, xs: np.ndarray) -> np.ndarray:
@@ -307,11 +352,14 @@ def _blocks(c, alpha: float, path: np.ndarray, lam, scale=None):
         yield _magnus(c, alpha, seg[:-1][lane], seg[1:][lane], lam, block_scale)
 
 
-def _shoot_many(c: complex, alpha: float, lams: np.ndarray, X: float) -> np.ndarray:
+def _shoot_many(
+    c: complex, alpha: float, lams: np.ndarray, X: float, lam_top: float = 0.0
+) -> np.ndarray:
     """Renormalized y(0; lambda) for a batch of spectral parameters.
 
     Chains Magnus transfer matrices from the WKB seed at X down to 0 on the
-    fixed mesh _mesh(X).  Each interval carries its _decay factor, which
+    mesh of _mesh_size(c, alpha, X, lam_top) intervals, which the batch
+    does not change.  Each interval carries its _decay factor, which
     cancels the dominant WKB growth so amplitudes stay in range while the
     proxy remains entire in lambda.  The matrices of each block of _blocks
     are multiplied pairwise in log depth, one level replacing the last.
@@ -320,7 +368,7 @@ def _shoot_many(c: complex, alpha: float, lams: np.ndarray, X: float) -> np.ndar
     lams = np.asarray(lams).reshape(-1)
     if c.imag == 0.0 and np.isrealobj(lams):
         c = c.real  # real coupling and parameters: real arithmetic throughout
-    xs = _mesh(X)
+    xs = _mesh(X, _mesh_size(c, alpha, X, lam_top))
     y, yp = _wkb_seed(c, alpha, X)
     for m in _blocks(c, alpha, xs, lams, _decay(c, alpha, xs)):
         while len(m[0]) > 1:
@@ -386,7 +434,7 @@ def spectral_det(spec: OperatorSpec, lam: complex) -> complex:
         raise ValueError(
             f"truncation X={spec.X:.3f} does not clear the turning point {turning:.3f}"
         )
-    return complex(_shoot_many(spec.c, spec.alpha, np.array([lam]), spec.X)[0])
+    return complex(_shoot_many(spec.c, spec.alpha, np.array([lam]), spec.X, abs(lam))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -398,20 +446,23 @@ def _oscillation_count(alpha: float, ts: np.ndarray, X: float) -> Tuple[np.ndarr
 
     The Sturm oscillation theorem makes the count the number of eigenvalues
     below t.  y is the shooting solution of _shoot_many (WKB seed at X, the
-    same interval factors), marched to every node of _mesh(X) for all t at
-    once by _node_values; the sign changes between consecutive nodes are
-    summed block by block, so only one block of node values is ever held.
-    Zeros of y'' = (x^a - t) y lie at least pi/sqrt(t) apart, so on a mesh
-    with max(h) sqrt(t) < pi no interval holds two of them and the node
-    count is exact.  Raises BracketError when that bound fails or a node
+    same mesh and interval factors), marched to every mesh node for all t
+    at once by _node_values; the sign changes between consecutive nodes
+    are summed block by block, so only one block of node values is ever
+    held.  Zeros of y'' = (x^a - t) y lie at least pi/sqrt(t) apart, so on
+    a mesh with max(h) sqrt(t) < pi no interval holds two of them and the
+    node count is exact; the count asks for max(h) sqrt(t) < 2, which
+    leaves the discrete node values a margin.  _mesh_size keeps that bound
+    below 2/3 up to the window top of X, and below 1 at every point of
+    real_spectrum.  Raises BracketError when the bound fails or a node
     value is exactly 0, and OverflowGuardError when one is not finite.
     """
     ts = np.asarray(ts, dtype=float)
-    xs = _mesh(X)
+    xs = _mesh(X, _mesh_size(1.0, alpha, X))
     bound = float(np.max(xs[:-1] - xs[1:])) * math.sqrt(float(np.max(ts)))
-    if not bound < math.pi:
+    if not bound < 2.0:
         raise BracketError(
-            f"mesh too coarse to count zeros: max(h) sqrt(t) = {bound:.3g} is not below pi"
+            f"mesh too coarse to count zeros: max(h) sqrt(t) = {bound:.3g} is not below 2"
         )
     counts = np.zeros(ts.shape, dtype=int)
     seed = _wkb_seed(1.0, alpha, X)
@@ -441,9 +492,12 @@ def real_spectrum(
     each is certified by an oscillation count: y(.; T_k) must have exactly
     k - 1/2 zeros on (0, X), so [T_{k-1/2}, T_{k+1/2}] holds t_k and no other
     eigenvalue.  A count that disagrees raises BracketError, naming the
-    first point.  The brackets are refined by safeguarded
-    secant/bisection.  Results are memoized per (alpha, n_max, X, tol);
-    everything involved is deterministic.
+    first point.  The brackets are refined by Chandrupatla's interpolation
+    with a bisection fallback (refine_brackets); a tol below the float
+    spacing at the top bracket end raises ValueError before the first
+    round.  Results are
+    memoized per (alpha, n_max, X, tol); everything involved is
+    deterministic.
     """
     if n_max < 1:
         raise ValueError("n_max must be positive")
@@ -566,7 +620,7 @@ def _march_nodes(
     c, alpha = spec.c, spec.alpha
     xs = spec.grid()
     # a node on both is a step of length 0, whose matrix is the identity
-    nodes = np.sort(np.concatenate((xs, _mesh(spec.X))))
+    nodes = np.sort(np.concatenate((xs, _mesh(spec.X, _mesh_size(c, alpha, spec.X, abs(lam))))))
     path = nodes[::-1] if inward else nodes
     seed = _wkb_seed(c, alpha, spec.X) if inward else (0.0, 1.0)
     blocks = zip(*_node_values(c, alpha, path, lam, *seed))
@@ -588,6 +642,30 @@ def homogeneous_pair(spec: OperatorSpec):
     return u, up, v, vp
 
 
+def _suppression(spec: OperatorSpec, lam: complex) -> Tuple[float, float]:
+    """How well the inward march of eigenfunction keeps the decaying solution.
+
+    With w = sqrt(c x^a - lam) on the branch that decays at infinity, the
+    log-ratio of the other solution to the decaying one changes by
+    -2 Re w dx along the march.  Returns (S, drop) for
+    g(x) = 2 int_0^x Re w: S = g(X), the suppression at 0 of the error of
+    the WKB seed at X, and drop, the largest fall of g over any stretch
+    [x, x'], by which a rounding error at x' can grow relative to the
+    solution by x.  w = sqrt(c) x^{a/2} sqrt(1 - lam/(c x^a)) with the
+    principal root: lam/(c x^a) runs along one ray from 0 as x comes in
+    from infinity, which never meets the cut [1, inf) of sqrt(1 - z)
+    unless lam/c > 0; then the path crosses a turning point, where either
+    sign continues w, and the principal root picks one.  Midpoint rule on
+    the march's mesh.
+    """
+    c, alpha = spec.c, spec.alpha
+    xs = _mesh(spec.X, _mesh_size(c, alpha, spec.X, abs(lam)))[::-1]
+    xm = 0.5 * (xs[1:] + xs[:-1])
+    w = cmath.sqrt(c) * xm ** (0.5 * alpha) * np.sqrt(1.0 - lam / (c * xm**alpha))
+    g = np.concatenate(([0.0], np.cumsum(2.0 * np.diff(xs) * w.real)))
+    return float(g[-1]), float(np.max(np.maximum.accumulate(g) - g))
+
+
 def eigenfunction(spec: OperatorSpec, lam: complex) -> SampledFunction:
     """Grid samples of the decaying solution at lam, scaled to unit maximum.
 
@@ -595,8 +673,29 @@ def eigenfunction(spec: OperatorSpec, lam: complex) -> SampledFunction:
     vanishes there); away from eigenvalues it is simply the subdominant
     solution.  The samples lie on the real axis, so the march is not
     rotated as in complex_spectrum; it runs at the c of spec as given.
+
+    Supported range: the decaying solution must outgrow the other one by
+    S >= 16 e-folds across [0, X], and the other one may gain at most 16
+    e-folds on it over any stretch of [0, X] (_suppression); otherwise
+    ValueError is raised before the march.  Measured at eigenvalues,
+    |y(0)|/max|y| is about 1e-3 exp(-S), the seed error (6e-12 at S = 21,
+    2e-10 at 15.6, 4e-7 at 9), plus a rounding error that grows with the
+    stretch gain (up to 7e-11 at 16, 1e-9 at 22, 1e-6 at 32).  Both bounds
+    fail deep in the sector, where Re sqrt(c) = |c|^{1/2} cos(arg c / 2) is
+    small: on OperatorSpec.for_modes(c, 2/3, 3), lambda_1 is supported up
+    to about |arg c| = 2.45 and lambda_3 up to about 1.95.  A longer
+    truncation X raises S but not the stretch gain.
     """
-    y, _yp = _march_nodes(spec, inward=True, lam=complex(lam))
+    lam = complex(lam)
+    S, drop = _suppression(spec, lam)
+    if not (S >= _SUPPRESSION and drop <= _SUPPRESSION):
+        raise ValueError(
+            f"eigenfunction at lambda = {lam:.6g} is out of the supported range: the decaying "
+            f"solution gains S = {S:.3g} e-folds on the other one over [0, X] (need {_SUPPRESSION:g}) "
+            f"and loses up to {drop:.3g} on a stretch (limit {_SUPPRESSION:g}); |arg c| is too "
+            f"close to pi for this lambda, or X = {spec.X!r} is too short"
+        )
+    y, _yp = _march_nodes(spec, inward=True, lam=lam)
     return SampledFunction(spec.grid(), y / np.max(np.abs(y)))
 
 

@@ -106,16 +106,17 @@ def test_magnus_airy_ratio_matches_mpmath():
         assert abs(got - want) < 1e-9 * abs(want)
 
 
-def test_magnus_fourth_order_convergence():
-    # alpha = 2, lam = 3: exact eigenfunction x exp(-x^2/2), so y(0) = 0
+def test_magnus_sixth_order_convergence():
+    # alpha = 2, lam = 3: exact eigenfunction x exp(-x^2/2), so y(0) = 0;
+    # each halving of the step divides the error by about 2^6 = 64
     X = 6.0
     seed = (X * math.exp(-X * X / 2), (1.0 - X * X) * math.exp(-X * X / 2))
     errs = []
-    for n in (50, 100, 200, 400):
+    for n in (25, 50, 100, 200):
         y, yp = _chain(1.0, 2.0, np.linspace(X, 0.0, n + 1), [3.0], *seed)
         errs.append(abs(y[0] / yp[0]))
     for coarse, fine in zip(errs[:-1], errs[1:]):
-        assert 14.0 < coarse / fine < 18.0
+        assert 56.0 < coarse / fine < 72.0
 
 
 @pytest.mark.parametrize("z", [0.0, 1e-3, -0.05, 1.0, -30.0, 200.0, 3.0 + 4.0j, -50.0 + 10.0j])
@@ -231,6 +232,45 @@ def test_refine_brackets_tiny_values():
     assert lo[0] <= 0.3 <= hi[0] and hi[0] - lo[0] <= 1e-12
     with pytest.raises(BracketError):
         refine_brackets(f_many, [0.5], [1.0], f_many([0.5]), f_many([1.0]), 1e-12)
+
+
+def test_refine_brackets_superlinear():
+    # interpolation steps: far fewer calls than the 47 bisections from [1, 2] to 1e-14
+    calls = []
+
+    def f_many(xs):
+        calls.append(len(xs))
+        return np.asarray(xs) ** 2 - 2.0
+
+    lo, hi = refine_brackets(f_many, [1.0], [2.0], [-1.0], [2.0], 1e-14)
+    assert len(calls) <= 10
+    assert lo[0] <= math.sqrt(2.0) <= hi[0] and hi[0] - lo[0] <= 1e-14
+    # the last point lands just past the interpolated root: the bracket is far below tol
+    assert abs(0.5 * (lo[0] + hi[0]) - math.sqrt(2.0)) < 1e-15
+
+
+def test_refine_brackets_exact_zero_keeps_an_open_bracket():
+    # the first (secant) step hits the root 0.5 exactly; the bracket must not collapse
+    f_many = lambda xs: np.asarray(xs) - 0.5
+    lo, hi = refine_brackets(f_many, [0.0], [1.0], [-0.5], [0.5], 1e-12)
+    assert lo[0] < hi[0] and lo[0] <= 0.5 <= hi[0] and hi[0] - lo[0] <= 1e-12
+
+
+def test_refine_brackets_refuses_tol_below_float_spacing():
+    # ulp(15927) = 1.8e-12: no bracket of floats there narrows to 1e-12
+    calls = []
+
+    def f_many(xs):
+        calls.append(len(xs))
+        return np.asarray(xs) - 15927.3
+
+    with pytest.raises(ValueError, match="ulp"):
+        refine_brackets(f_many, [15927.0], [15928.0], [-0.3], [0.7], 1e-12)
+    assert calls == []
+    # one ulp is reachable: the bracket closes on two neighbouring floats
+    ulp = float(np.spacing(15928.0))
+    lo, hi = refine_brackets(f_many, [15927.0], [15928.0], [-0.3], [0.7], ulp)
+    assert 0.0 < hi[0] - lo[0] <= ulp and lo[0] <= 15927.3 <= hi[0]
 
 
 # ---------------------------------------------------------------------------

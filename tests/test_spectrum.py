@@ -26,6 +26,7 @@ from wkbspec.spectrum import (
     _magnus,
     _march_nodes,
     _mesh,
+    _mesh_size,
     _mode_window,
     _oscillation_count,
     _shoot_many,
@@ -150,6 +151,53 @@ def test_real_spectrum_alpha1_airy_zeros():
     ts = real_spectrum(1.0, 20)
     for n, t in enumerate(ts, start=1):
         assert abs(t + float(mpmath.airyaizero(n))) < 1e-9
+
+
+def test_real_spectrum_alpha1_airy_zeros_to_mode_100():
+    # the mesh grows with the window top, so high modes keep their accuracy
+    ts = np.array(real_spectrum(1.0, 100))
+    airy = -np.array([float(mpmath.airyaizero(n)) for n in range(1, 101)])
+    assert np.max(np.abs(ts / airy - 1.0)) < 1e-11
+
+
+def test_real_spectrum_alpha2_exact_to_mode_100():
+    ts = np.array(real_spectrum(2.0, 100))
+    assert np.max(np.abs(ts / (4.0 * np.arange(1, 101) - 1.0) - 1.0)) < 1e-11
+
+
+def test_real_spectrum_refuses_tol_below_float_spacing():
+    # t_100 is about 15927 at alpha 10, where the float spacing is 1.8e-12; before,
+    # all 90 rounds ran and then ConvergenceError was raised
+    with pytest.raises(ValueError, match="ulp"):
+        real_spectrum(10.0, 100, tol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "c, alpha, n, size",
+    [(1.0, ALPHA_23, 3, 1000), (2.0, 1.0, 7, 1000), (0.5, 2.0, 8, 1000), (1.0, 2.0, 100, 2335), (1.0, 20.0, 100, 4033)],
+)
+def test_mesh_size_follows_the_rule(c, alpha, n, size):
+    # N = max(1000, ceil(3 X sqrt(lam_top)), ceil(X sqrt|c X^a| / 8)), with lam_top the
+    # window top |c|^{2/(a+2)} t_top, or |c| (X/1.5)^a where X is longer than it needs
+    X = OperatorSpec.for_modes(c, alpha, n).X
+    top = max(abs(c) ** (2.0 / (alpha + 2.0)) * _mode_window(alpha, n)[0], abs(c) * (X / 1.5) ** alpha)
+    rule = max(1000, math.ceil(3.0 * X * math.sqrt(top)), math.ceil(X * math.sqrt(abs(c) * X**alpha) / 8.0))
+    assert _mesh_size(c, alpha, X) == rule == size
+
+
+def test_mesh_does_not_depend_on_the_batch(monkeypatch):
+    import wkbspec.spectrum as spectrum
+
+    sizes = []
+    mesh = spectrum._mesh
+    monkeypatch.setattr(spectrum, "_mesh", lambda X, n=1000: sizes.append(n) or mesh(X, n))
+    X = OperatorSpec.for_modes(1.0, 2.0, 100).X
+    for lanes in (1, 9, 100):
+        _shoot_many(1.0, 2.0, 4.0 * np.arange(1, lanes + 1) - 1.0, X)
+    # the count and every refinement round of one spectrum share one mesh
+    spectrum._real_spectrum_cached.cache_clear()
+    real_spectrum(2.0, 100)
+    assert len(sizes) > 5 and set(sizes) == {2335}
 
 
 def test_asymptotic_trend_alpha1():
@@ -427,6 +475,37 @@ def test_march_matches_sequential_magnus_chain(grid_n, inward):
     march_y, march_yp = _march_nodes(spec, inward)
     assert np.max(np.abs(march_y - ys[pick])) < 1e-13 * np.max(np.abs(ys))
     assert np.max(np.abs(march_yp - yps[pick])) < 1e-13 * np.max(np.abs(yps))
+
+
+@pytest.mark.parametrize("arg", [2.3, -2.3, 1.0])
+def test_eigenfunction_inside_the_supported_range(arg):
+    # S = 2 int_0^X Re sqrt(c x^a - lambda_1) is 27 at |arg c| = 2.3, 85 at 1
+    c = cmath.exp(1j * arg)
+    spec = OperatorSpec.for_modes(c, ALPHA_23, 3)
+    lam = cmath.exp(0.75 * cmath.log(c)) * real_spectrum(ALPHA_23, 3)[0]
+    y = eigenfunction(spec, lam)
+    assert abs(y.values[0]) < 1e-10
+
+
+@pytest.mark.parametrize("arg", [2.6, 3.0, -3.0])
+def test_eigenfunction_refuses_deep_in_the_sector(arg):
+    # S = 9.1 at 2.6 and -15 at 3.0: the samples were 4e-7 and 1.0 off, with no error
+    c = cmath.exp(1j * arg)
+    spec = OperatorSpec.for_modes(c, ALPHA_23, 3)
+    lam = cmath.exp(0.75 * cmath.log(c)) * real_spectrum(ALPHA_23, 3)[0]
+    with pytest.raises(ValueError, match="supported range"):
+        eigenfunction(spec, lam)
+
+
+def test_eigenfunction_refuses_a_large_stretch_gain():
+    # lambda_10 at arg c = 2.4 on twice the truncation: S = 31, but the other
+    # solution gains 53 e-folds on a stretch and the samples were 8e-4 off
+    c = cmath.exp(2.4j)
+    spec = OperatorSpec.for_modes(c, ALPHA_23, 10)
+    spec = OperatorSpec(c=c, alpha=ALPHA_23, X=2.0 * spec.X)
+    lam = cmath.exp(0.75 * cmath.log(c)) * real_spectrum(ALPHA_23, 10)[9]
+    with pytest.raises(ValueError, match="loses up to 5"):
+        eigenfunction(spec, lam)
 
 
 def test_apply_inverse_grid_mismatch(resolvent_spec):

@@ -63,6 +63,14 @@ def test_solve_theta0_rejects_bad_tolerance(tol):
         solve_theta0(tol)
 
 
+def test_solve_theta0_refuses_tolerance_below_float_spacing():
+    # the float spacing at pi/9 is 5.6e-17; before, 1e-17 ran all rounds and then
+    # raised ConvergenceError
+    with pytest.raises(ValueError, match="ulp"):
+        solve_theta0(1e-17)
+    assert solve_theta0(2e-16).enclosure.width <= 2e-16
+
+
 def test_solve_theta0_tolerance_stability():
     t1 = solve_theta0(1e-8).theta0
     t2 = solve_theta0(5e-9).theta0
