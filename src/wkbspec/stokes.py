@@ -10,7 +10,13 @@ the real parameter s and solves for z by Newton, with no quadrature and no
 accumulated error.  It carries arg P and the branch of the log in S, and
 continues both along each step's chord (arg P by the exact chord rule of
 wkbspec.actions), so every sqrt(P) it uses lies on one sheet.  Escaping
-curves are reported with their exact asymptotic direction.
+curves are reported with their exact asymptotic direction.  Whether a
+finite curve joins the turning points (the compound flag) is decided in
+closed form, from Re S at the other turning point.
+
+The ray crossings trace nothing: they follow the same closed form along
+the ray through the strip and half-plane domains that the Stokes curves
+cut the plane into (see ray_crossing_report).
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -43,7 +49,7 @@ TO_INFINITY = "infinity"
 TO_TURNING_POINT = "turning_point"
 
 _LAUNCH_DISTANCE = 1e-4
-_CAPTURE_RADIUS = 1e-2  # a curve this close to the other turning point ends there
+_CAPTURE_RADIUS = 1e-2  # on a compound potential, a curve this close to the other turning point ends there
 _DEFAULT_MAX_ARCLEN = 12.0
 _NEWTON_TOL = 1e-13
 _NEWTON_MAX = 8
@@ -123,6 +129,18 @@ def _other_turning_point(pot: PotentialQuadratic, tp: complex) -> complex:
     return b if abs(tp - a) < abs(tp - b) else a
 
 
+def _compound(pot: PotentialQuadratic) -> bool:
+    """Whether a finite Stokes curve joins the turning points: Re S(t2) = 0.
+
+    The action from t1 at t2 is S = +-i pi sqrt(k) a^2 / 2, a = (t2 - t1)/2,
+    and |Re S| / |S| = |sin(arg k / 2 + 2 arg a)|; the 2e-9 bound is the
+    same as arg mu = 0 mod pi/2 to 1e-9 rad in the t-form.
+    """
+    t1, t2 = pot.turning_points()
+    s_other = 1j * math.pi * cmath.sqrt(pot.leading) * (0.5 * (t2 - t1)) ** 2 / 2.0
+    return abs(s_other.real) <= 2e-9 * abs(s_other)
+
+
 # ---------------------------------------------------------------------------
 # tracing
 # ---------------------------------------------------------------------------
@@ -159,8 +177,10 @@ def trace_stokes_curve(
     Terminates past an arclength of max_arclen times the scale
     max(1, |t2 - t1|) of the step caps (TO_INFINITY, with the exact
     asymptotic direction pi/4 - arg(k)/4 + j pi/2 nearest the last chord),
-    or close to the other turning point (TO_TURNING_POINT).  So a finite
-    curve between far-apart turning points is never cut short.
+    or, on a compound potential (see _compound), close to the other turning
+    point (TO_TURNING_POINT).  So a finite curve between far-apart turning
+    points is never cut short, and a curve that only passes near the other
+    turning point is not taken for one.
     """
     if not (math.isfinite(max_arclen) and max_arclen > 0.0):
         raise ValueError("max_arclen must be finite and positive")
@@ -168,6 +188,7 @@ def trace_stokes_curve(
     phi = launch_angles(pot, tp)[k % 3]
     other = _other_turning_point(pot, tp)
     scale = max(1.0, abs(other - tp))
+    compound = _compound(pot)
     at = _closed_action(pot, tp)
 
     # launch on the chord from tp, where arg P -> arg P'(tp) + phi, and
@@ -200,7 +221,7 @@ def trace_stokes_curve(
         points.append(z_new)
         arclen += abs(z_new - z)
         z = z_new
-        if abs(z - other) < _CAPTURE_RADIUS * scale:
+        if compound and abs(z - other) < _CAPTURE_RADIUS * scale:
             terminal = TO_TURNING_POINT
             reaches = other
             points.append(other)
@@ -234,9 +255,9 @@ def build_stokes_graph(
     """Trace all six Stokes curves and group them into the two complexes.
 
     The compound flag is set when a finite Stokes curve joins the turning
-    points.  For the t-form potential this happens exactly at
-    arg mu = 0 mod pi/2; the geometric detection wins on disagreement and
-    the mismatch is reported as a diagnostic.
+    points, decided in closed form by Re S(t2) = 0 (for the t-form,
+    arg mu = 0 mod pi/2); only then does a traced curve end at the other
+    turning point.
     """
     tps = pot.turning_points()
     curves = []
@@ -251,27 +272,12 @@ def build_stokes_graph(
     curves = [curves[i] for i in order]
     c1 = tuple(i for i, c in enumerate(curves) if abs(c.origin - tps[0]) < 1e-12)
     c2 = tuple(i for i, c in enumerate(curves) if abs(c.origin - tps[1]) < 1e-12)
-    geometric_compound = any(c.terminal == TO_TURNING_POINT for c in curves)
-    if pot.kind == "t":
-        psi = cmath.phase(pot.mu) % (2.0 * math.pi)
-    else:
-        psi = pot.psi
-    analytic_compound = min(psi % (math.pi / 2.0), math.pi / 2.0 - psi % (math.pi / 2.0)) < 1e-9
-    if geometric_compound != analytic_compound:
-        import warnings
-
-        warnings.warn(
-            f"compound-complex detection disagrees (geometric={geometric_compound}, "
-            f"analytic={analytic_compound}); keeping the geometric result",
-            RuntimeWarning,
-            stacklevel=2,
-        )
     return StokesGraph(
         potential=pot,
         curves=tuple(curves),
         complex1=c1,
         complex2=c2,
-        compound=geometric_compound,
+        compound=_compound(pot),
     )
 
 
@@ -332,77 +338,165 @@ def numerical_ray_extremum(psi: float, gamma: float, tau_hi: float = 3.0) -> Opt
     return 0.5 * (lo + hi)
 
 
-def _ray_polyline_crossings(direction: complex, curve: StokesCurve, r_min: float):
-    """Radii and points where the curve crosses the ray {tau*direction, tau>0}.
+_R_MIN = 1e-6  # crossings this close to z = 0 do not count ("outside z = 0")
 
-    Points lying on the ray to within roundoff (the ambiguous case of a
-    crossing at a polyline node) are resolved by the signs of the nearest
-    off-ray neighbors: opposite signs count as one crossing at the node,
-    equal signs as a tangential touch that does not count.
+
+@dataclass(frozen=True)
+class _Ray:
+    """The ray tau e^{i(gamma - psi)} for the crossing walk.
+
+    s_ray(tau) is the action from 0 continued along the ray; levels are S
+    at the turning points, 0 at 0 and the two values +-sigma S can take at
+    1.  A domain is None for the strip, or (level index of its turning
+    point, sign of Im(S - S_tp) on the curve it shares with the strip) for
+    a half-plane domain; start holds the first domain and, when the ray
+    starts in the strip, the index of the level of its second complex.
+    brackets hold (lo, hi, f_lo, f_hi, level index, the way Re S_ray moves)
+    for every zero of Re S_ray - Re level on each monotone piece.
     """
-    rot = direction.conjugate()
-    pts = [z * rot for z in curve.points]
-    eps = 1e-12 * max(1.0, max(abs(z) for z in pts))
-    signs = [0 if abs(z.imag) <= eps else (1 if z.imag > 0.0 else -1) for z in pts]
-    out = []
-    i = 0
-    n = len(pts)
-    while i < n - 1:
-        si = signs[i]
-        if si == 0:
-            i += 1
+
+    psi: float
+    direction: complex
+    s_ray: Callable[[float], complex]
+    levels: tuple
+    start: tuple
+    extremum: Optional[Tuple[float, float]]
+    brackets: tuple
+
+
+def _ray(psi: float, gamma: float) -> _Ray:
+    extremum = ray_extremum(gamma, psi)  # validates gamma and psi
+    pot = PotentialQuadratic.z_form(psi)
+    theta = gamma - psi
+    direction = cmath.exp(1j * theta)
+    at = _closed_action(pot, 0j)
+    phase0 = cmath.phase(pot.slope_at(0j)) + theta  # one chord from 0 holds the whole ray
+
+    def s_ray(tau):
+        return at(0j, phase0, 0j, tau * direction)[0]
+
+    sigma = 1j * math.pi * cmath.exp(2j * psi) / 8.0
+    levels = (0j, sigma, -sigma)
+    side = 1.0 if s_ray(_R_MIN).real > 0.0 else -1.0  # the way Re S_ray moves up to tau0
+    # sectors at 0 between launch directions, counter-clockwise from the ray's to the strip's
+    phi0 = launch_angles(pot, 0j)[0]
+    offset = (math.floor(-phi0 / (2.0 * math.pi / 3.0)) - math.floor((theta - phi0) / (2.0 * math.pi / 3.0))) % 3
+    if offset == 0:
+        start = (None, 1 if sigma.real * side > 0.0 else 2)
+    else:
+        start = ((0, side if offset == 1 else -side), None)
+
+    ends = [_R_MIN] + ([extremum[0]] if extremum else [])
+    moves = [side, -side][: len(ends)]
+    tail = max(2.0 * ends[-1], 1.0)
+    while moves[-1] * s_ray(tail).real <= abs(sigma.real):
+        tail *= 2.0  # |Re S_ray| grows like cos(2 gamma) tau^2 / 2
+    ends.append(tail)
+    vals = [s_ray(t).real for t in ends]
+    brackets = tuple(
+        (ends[i], ends[i + 1], vals[i] - lev.real, vals[i + 1] - lev.real, k, moves[i])
+        for i in range(len(moves))
+        for k, lev in enumerate(levels)
+        if (vals[i] - lev.real) * (vals[i + 1] - lev.real) < 0.0
+    )
+    return _Ray(psi, direction, s_ray, levels, start, extremum, brackets)
+
+
+def _walk(ray: _Ray, radii) -> Tuple[list, list]:
+    """Crossing radii with the first and the second complex, from the zeros
+    (radii, one per bracket of ray) in the order the ray meets them.
+
+    A zero at a level the current domain does not own is interior.
+    """
+    hits = ([], [])
+    half, k_sigma = ray.start
+    for radius, (_, _, _, _, k, move) in sorted(zip(radii, ray.brackets)):
+        if k not in ((0, k_sigma) if half is None else half[:1]):
             continue
-        j = i + 1
-        while j < n and signs[j] == 0:
-            j += 1
-        if j >= n:
+        hits[k != 0].append(radius)
+        curve = 1.0 if (ray.s_ray(radius) - ray.levels[k]).imag > 0.0 else -1.0
+        if half is None:
+            half = (k, curve)  # into the half-plane domain on that curve
+        elif curve == half[1]:
+            half = None  # back into the strip, which lies the way Re S_ray moves
+            if k == 0:
+                k_sigma = 1 if ray.levels[1].real * move > 0.0 else 2
+        else:
+            # into the neighbouring half-plane domain of the same turning
+            # point, past tau0 (a half-plane is left only after Re S_ray
+            # turns), so Re S_ray moves away from its level for good
             break
-        if signs[j] != si:
-            if j == i + 1:
-                ia, ib = pts[i].imag, pts[j].imag
-                t = ia / (ia - ib)
-                zc = pts[i] + t * (pts[j] - pts[i])
-                radius = zc.real
-            else:
-                # the crossing sits on the on-ray node(s) between i and j
-                radius = pts[(i + j) // 2].real
-            if radius > r_min:
-                out.append((radius, radius * direction))
-        i = j
-    return out
+    return hits
+
+
+def _crossing_reports(psis: List[float], gamma: float) -> List[RayCrossingReport]:
+    """ray_crossing_report for every psi, with one refine_brackets call.
+
+    refine_brackets hands f_many the abscissae of the open lanes only, and
+    every lane has its own function.  So lane j is refined on [2 j, 2 j + 1],
+    the affine image of its bracket, and x // 2 names the lane of x.  The
+    tolerance is 1e-12 of a bracket, or 4 ulp of the largest abscissa on
+    sweeps of 2^10 lanes or more.
+    """
+    rays = [_ray(psi, gamma) for psi in psis]
+    lanes = [(ray, b) for ray in rays for b in ray.brackets]
+    n = len(lanes)
+
+    def f_many(x):
+        out = np.empty(len(x))
+        for i, xi in enumerate(x):
+            ray, (lo, hi, _, _, k, _) = lanes[int(xi // 2.0)]
+            out[i] = ray.s_ray(lo + (xi % 2.0) * (hi - lo)).real - ray.levels[k].real
+        return out
+
+    x_lo = 2.0 * np.arange(n)
+    f_lo = np.array([b[2] for _, b in lanes])
+    f_hi = np.array([b[3] for _, b in lanes])
+    a, b = refine_brackets(f_many, x_lo, x_lo + 1.0, f_lo, f_hi, max(1e-12, 4.0 * np.spacing(2.0 * n)))
+    u = 0.5 * (a + b) - x_lo
+    radii = [lo + ui * (hi - lo) for (_, (lo, hi, *_)), ui in zip(lanes, u)]
+    reports, i = [], 0
+    for ray in rays:
+        hits = _walk(ray, radii[i : i + len(ray.brackets)])
+        i += len(ray.brackets)
+        reports.append(RayCrossingReport(
+            gamma=gamma,
+            psi=ray.psi,
+            crossings_complex1=tuple(hits[0]),
+            crossings_complex2=tuple(hits[1]),
+            crossing_points_complex1=tuple(r * ray.direction for r in hits[0]),
+            crossing_points_complex2=tuple(r * ray.direction for r in hits[1]),
+            extremum=ray.extremum,
+        ))
+    return reports
 
 
 def ray_crossing_report(psi: float, gamma: float) -> RayCrossingReport:
     """Count intersections of the ray at angle gamma - psi with both
-    Stokes complexes of P(z) = e^{4 i psi} z (z - 1).
+    Stokes complexes of P(z) = e^{4 i psi} z (z - 1), from the closed-form
+    action along the ray; no curve is traced.
 
-    Curves of the first complex start at the origin, which lies on the
-    closure of the ray; crossings inside a small exclusion radius do not
-    count ("outside z = 0").
+    S_ray(tau) is the action from the turning point 0 at tau e^{i(gamma -
+    psi)}, continued along the ray.  The Stokes curves cut the plane into
+    one strip domain and four half-plane domains, two at each turning point
+    (Strebel, Quadratic Differentials, 1984).  S maps the strip onto the
+    strip between Re S = 0, where the curves of the first complex lie, and
+    Re S = Re sigma, where those of the second lie, with sigma = S(1) =
+    +-i pi e^{2 i psi}/8 (the sign whose real part lies the way Re S_ray
+    moves as the ray enters the strip); it maps each half-plane domain onto
+    one side of its turning point's level.  The segment [0, 1] lies in the
+    strip, so the ray starts there exactly when its angle and 0 lie in the
+    same sector between the launch directions at 0.  Re S_ray is monotone
+    on (0, tau0) and on (tau0, inf), tau0 from ray_extremum, so on each
+    piece every level has at most one zero, refined by refine_brackets.  At
+    a zero of the current domain's level, the sign of Im(S_ray - S_tp) names
+    the curve crossed: from the strip the ray enters the half-plane domain
+    on that curve; from a half-plane domain it enters the strip across the
+    curve they share, or else the neighbouring half-plane domain of the
+    same turning point.  Crossings inside r_min = 1e-6 do not count
+    ("outside z = 0").
     """
-    if not 0.0 < gamma < math.pi / 4.0:
-        raise ValueError("gamma must lie in (0, pi/4)")
-    if not 0.0 < psi < 2.0 * math.pi or psi == gamma:
-        raise ValueError("psi must lie in (0, 2*pi), psi != gamma")
-    graph = build_stokes_graph(PotentialQuadratic.z_form(psi))
-    direction = cmath.exp(1j * (gamma - psi))
-    r_min = 1e-6
-    hits1, hits2 = [], []
-    for idx in graph.complex1:
-        hits1.extend(_ray_polyline_crossings(direction, graph.curves[idx], r_min))
-    for idx in graph.complex2:
-        hits2.extend(_ray_polyline_crossings(direction, graph.curves[idx], r_min))
-    hits1.sort(key=lambda rc: rc[0])
-    hits2.sort(key=lambda rc: rc[0])
-    return RayCrossingReport(
-        gamma=gamma,
-        psi=psi,
-        crossings_complex1=tuple(r for r, _ in hits1),
-        crossings_complex2=tuple(r for r, _ in hits2),
-        crossing_points_complex1=tuple(p for _, p in hits1),
-        crossing_points_complex2=tuple(p for _, p in hits2),
-        extremum=ray_extremum(gamma, psi),
-    )
+    return _crossing_reports([psi], gamma)[0]
 
 
 def _fits_regime(regime: int, rep: RayCrossingReport) -> bool:
@@ -434,10 +528,13 @@ def classify_crossings(gamma: float, per_regime: int) -> List[CrossingCheck]:
         (2, gamma, 2.0 * math.pi - 4.0 * gamma),
         (3, 2.0 * math.pi - 3.0 * gamma, 3.0 * gamma),
     )
-    out = []
-    for regime, start, span in regimes:
-        for i in range(per_regime):
-            psi = start + (i + 0.5) * span / per_regime
-            rep = ray_crossing_report(psi, gamma)
-            out.append(CrossingCheck(psi, regime, rep, _fits_regime(regime, rep)))
-    return out
+    regime_psis = [
+        (regime, start + (i + 0.5) * span / per_regime)
+        for regime, start, span in regimes
+        for i in range(per_regime)
+    ]
+    reports = _crossing_reports([psi for _, psi in regime_psis], gamma)
+    return [
+        CrossingCheck(psi, regime, rep, _fits_regime(regime, rep))
+        for (regime, psi), rep in zip(regime_psis, reports)
+    ]

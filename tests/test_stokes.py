@@ -9,6 +9,7 @@ from wkbspec.actions import PotentialQuadratic, action, action_with_phase
 from wkbspec.numerics import Contour
 from wkbspec.stokes import (
     build_stokes_graph,
+    classify_crossings,
     launch_angles,
     numerical_ray_extremum,
     ray_crossing_report,
@@ -267,6 +268,86 @@ def test_extremum_dichotomy_on_psi_grid():
 # ---------------------------------------------------------------------------
 # ray crossing classification
 # ---------------------------------------------------------------------------
+
+def _ray_polyline_crossings(direction, points, r_min=1e-6):
+    """(radius, index of the chord) where the polyline crosses the ray
+    {tau*direction, tau>0}, outside r_min.
+
+    Points lying on the ray to within roundoff (the ambiguous case of a
+    crossing at a polyline node) are resolved by the signs of the nearest
+    off-ray neighbors: opposite signs count as one crossing at the node,
+    equal signs as a tangential touch that does not count.
+    """
+    rot = direction.conjugate()
+    pts = [z * rot for z in points]
+    eps = 1e-12 * max(1.0, max(abs(z) for z in pts))
+    signs = [0 if abs(z.imag) <= eps else (1 if z.imag > 0.0 else -1) for z in pts]
+    out = []
+    i = 0
+    n = len(pts)
+    while i < n - 1:
+        si = signs[i]
+        if si == 0:
+            i += 1
+            continue
+        j = i + 1
+        while j < n and signs[j] == 0:
+            j += 1
+        if j >= n:
+            break
+        if signs[j] != si:
+            if j == i + 1:
+                ia, ib = pts[i].imag, pts[j].imag
+                t = ia / (ia - ib)
+                radius = (pts[i] + t * (pts[j] - pts[i])).real
+            else:
+                # the crossing sits on the on-ray node(s) between i and j
+                radius = pts[(i + j) // 2].real
+            if radius > r_min:
+                out.append((radius, i))
+        i = j
+    return out
+
+
+def _traced_crossings(psi, gamma):
+    """Crossing radii of the ray with the traced polylines of each complex."""
+    graph = build_stokes_graph(PotentialQuadratic.z_form(psi))
+    direction = cmath.exp(1j * (gamma - psi))
+    return [
+        sorted(r for idx in cx for r, _ in _ray_polyline_crossings(direction, graph.curves[idx].points))
+        for cx in (graph.complex1, graph.complex2)
+    ]
+
+
+@pytest.mark.parametrize("gamma", [0.1, 0.318939790429, 0.5, 0.73])
+def test_crossing_counts_match_traced_curves(gamma):
+    # the closed-form walk against the traced oracle at every psi midpoint
+    for chk in classify_crossings(gamma, 30):
+        traced = _traced_crossings(chk.psi, gamma)
+        rep = chk.report
+        assert (rep.count_complex1, rep.count_complex2) == tuple(map(len, traced)), chk.psi
+
+
+def test_crossing_radii_match_fine_traces():
+    # each crossing curve traced again at sag_tol 1e-10, just past the
+    # crossing; the default sag_tol 1e-4 puts some crossings 1e-1 off
+    for chk in classify_crossings(GAMMA, 3):
+        pot = PotentialQuadratic.z_form(chk.psi)
+        direction = cmath.exp(1j * (GAMMA - chk.psi))
+        graph = build_stokes_graph(pot)
+        rep = chk.report
+        for cx, radii in ((graph.complex1, rep.crossings_complex1), (graph.complex2, rep.crossings_complex2)):
+            for r in radii:
+                curve, (_, i) = min(
+                    ((graph.curves[idx], hit) for idx in cx
+                     for hit in _ray_polyline_crossings(direction, graph.curves[idx].points)),
+                    key=lambda ch: abs(ch[1][0] - r),
+                )
+                reach = sum(abs(b - a) for a, b in zip(curve.points[: i + 1], curve.points[1 : i + 2]))
+                fine = trace_stokes_curve(pot, curve.origin, curve.direction_index, reach + 0.1, sag_tol=1e-10)
+                r_fine = min((h[0] for h in _ray_polyline_crossings(direction, fine.points)), key=lambda x: abs(x - r))
+                assert abs(r_fine - r) <= 1e-6 * r, (chk.psi, r, r_fine)
+
 
 def test_crossings_regime_one():
     rep = ray_crossing_report(math.pi / 16.0, GAMMA)
