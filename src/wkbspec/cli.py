@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import functools
 import json
 import math
 import sys
@@ -247,7 +248,9 @@ def _cmd_verify(args, argv) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call and reused: parse_args keeps no state."""
     p = argparse.ArgumentParser(prog="wkbspec", description=__doc__)
     p.add_argument("--version", action="version", version=f"wkbspec {__version__}")
     sub = p.add_subparsers(dest="command", required=True)

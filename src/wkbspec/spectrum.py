@@ -44,7 +44,7 @@ from .errors import (
     SignAnomalyError,
     WronskianError,
 )
-from .numerics import _leggauss, gamma_fn, muller_many, refine_brackets
+from .numerics import _leggauss, muller_many, refine_brackets
 
 __all__ = [
     "OperatorSpec",
@@ -155,7 +155,8 @@ def bs_constant(alpha: float) -> float:
     """
     if alpha <= 0:
         raise ValueError("alpha must be positive")
-    return gamma_fn(1.0 / alpha) * math.sqrt(math.pi) / ((alpha + 2.0) * gamma_fn(1.0 / alpha + 0.5))
+    ratio = math.exp(math.lgamma(1.0 / alpha) - math.lgamma(1.0 / alpha + 0.5))
+    return ratio * math.sqrt(math.pi) / (alpha + 2.0)
 
 
 def t_asymptotic(n: int, alpha: float) -> float:

@@ -352,10 +352,12 @@ class _Ray:
     a half-plane domain; start holds the first domain and, when the ray
     starts in the strip, the index of the level of its second complex.
     brackets hold (lo, hi, f_lo, f_hi, level index, the way Re S_ray moves)
-    for every zero of Re S_ray - Re level on each monotone piece.
+    for every zero of Re S_ray - Re level on each monotone piece; on a
+    compound potential only level 0, which all three levels equal.
     """
 
     psi: float
+    compound: bool
     direction: complex
     s_ray: Callable[[float], complex]
     levels: tuple
@@ -393,22 +395,31 @@ def _ray(psi: float, gamma: float) -> _Ray:
         tail *= 2.0  # |Re S_ray| grows like cos(2 gamma) tau^2 / 2
     ends.append(tail)
     vals = [s_ray(t).real for t in ends]
+    compound = _compound(pot)
     brackets = tuple(
         (ends[i], ends[i + 1], vals[i] - lev.real, vals[i + 1] - lev.real, k, moves[i])
         for i in range(len(moves))
-        for k, lev in enumerate(levels)
+        for k, lev in enumerate(levels[:1] if compound else levels)
         if (vals[i] - lev.real) * (vals[i + 1] - lev.real) < 0.0
     )
-    return _Ray(psi, direction, s_ray, levels, start, extremum, brackets)
+    return _Ray(psi, compound, direction, s_ray, levels, start, extremum, brackets)
 
 
 def _walk(ray: _Ray, radii) -> Tuple[list, list]:
     """Crossing radii with the first and the second complex, from the zeros
     (radii, one per bracket of ray) in the order the ray meets them.
 
-    A zero at a level the current domain does not own is interior.
+    A zero at a level the current domain does not own is interior.  On a
+    compound potential (P = z (z - 1), the strip has zero width) every
+    zero is a crossing, and it belongs to the first complex exactly when
+    Re z < 1/2: z -> 1 - z maps P to itself and swaps the turning points,
+    so no curve to infinity crosses Re z = 1/2.
     """
     hits = ([], [])
+    if ray.compound:
+        for radius in sorted(radii):
+            hits[int((radius * ray.direction).real > 0.5)].append(radius)
+        return hits
     half, k_sigma = ray.start
     for radius, (_, _, _, _, k, move) in sorted(zip(radii, ray.brackets)):
         if k not in ((0, k_sigma) if half is None else half[:1]):

@@ -6,9 +6,11 @@ F(theta) is a real action balance for the quadratic potential
 e^{4 i psi} z (z - 1) with psi = pi/8 - 3 theta/4: the real part of the
 action between the two turning points minus the action continued from
 z = 1 up to the extremum point Z0 = 1 + i tan(theta) of Re S on the ray.
-F is evaluated through three independent routes (split real integrals,
-branch-tracked action difference, elementary closed form) that are
-cross-checked against each other in the verification suite.
+F is evaluated from its elementary closed form (the arcsin reduction of
+the paper), so solving for theta0, scanning F and the verdicts do no
+quadrature.  Two quadrature routes (split real integrals, branch-tracked
+action difference) are computed independently of it and serve only as
+verification: f_theta_routes, check (h) and the route-equivalence sweep.
 """
 
 from __future__ import annotations
@@ -83,9 +85,18 @@ def f_theta(theta: float) -> float:
 
     F = -sin(2 psi) (pi/8 + Im I) + cos(2 psi) Re I where psi = pi/8 - 3
     theta/4 and I = int_0^{tan theta} sqrt(t^2 - i t) dt (principal branch).
+    Evaluated in closed form as Re[e^{2 i psi} i (pi/8 - J)], with J the
+    elementary segment integral of actions.segment_integral_closed; the
+    quadrature routes of f_theta_routes only verify it.
     """
     if not 0.0 <= theta < _THETA_SUP:
         raise ValueError(f"theta must lie in [0, pi/6), got {theta}")
+    seg = segment_integral_closed(math.tan(theta))
+    return (cmath.exp(2j * _psi_of(theta)) * 1j * (math.pi / 8.0 - seg)).real
+
+
+def _f_split(theta: float) -> float:
+    """F from the explicit real integrals by graded quadrature (verification only)."""
     psi2 = 2.0 * _psi_of(theta)
     re_i, im_i = half_line_integral_split(math.tan(theta))
     return -math.sin(psi2) * (math.pi / 8.0 + im_i) + math.cos(psi2) * re_i
@@ -94,17 +105,17 @@ def f_theta(theta: float) -> float:
 def f_theta_routes(theta: float) -> Dict[str, float]:
     """F(theta) via three independent computations.
 
-    split:  the sine/cosine combination of the explicit real integrals;
+    split:  the sine/cosine combination of the explicit real integrals,
+            by graded quadrature;
     action: the real action difference between the turning-point leg
             [0, 1] and the ray leg [1, Z0], both from branch-tracked
             quadrature of sqrt(P) (graded at the turning points);
-    closed: Re[e^{2 i psi} i (pi/8 - closed-form segment integral)].
+    closed: f_theta, Re[e^{2 i psi} i (pi/8 - closed-form segment integral)].
     """
-    if not 0.0 <= theta < _THETA_SUP:
-        raise ValueError(f"theta must lie in [0, pi/6), got {theta}")
+    out = {"closed": f_theta(theta)}  # validates theta
     psi = _psi_of(theta)
     tau = math.tan(theta)
-    out = {"split": f_theta(theta)}
+    out["split"] = _f_split(theta)
 
     pot = PotentialQuadratic.z_form(psi % (2.0 * math.pi))
     anchor = 4.0 * psi + math.pi  # arg P along (0, 1)
@@ -114,9 +125,6 @@ def f_theta_routes(theta: float) -> Dict[str, float]:
     else:
         s_leg2 = 0.0 + 0.0j
     out["action"] = (s_leg1 - s_leg2).real
-
-    seg = segment_integral_closed(tau)
-    out["closed"] = (cmath.exp(2j * psi) * 1j * (math.pi / 8.0 - seg)).real
     return out
 
 
@@ -255,7 +263,7 @@ def verify_threshold_bounds() -> List[ThresholdCheck]:
         + math.sqrt(sqrt5 / 10.0) * (3.0 - sqrt5)
         + b_closed * math.sqrt((5.0 + sqrt5) / 8.0)
     )
-    v = abs(algebraic - f_theta(math.pi / 10.0))
+    v = abs(algebraic - _f_split(math.pi / 10.0))
     ok = v < 1e-12 and algebraic < 0.0
     checks.append(
         ThresholdCheck("f_pi_10_elementary", ok, v, 1e-12,

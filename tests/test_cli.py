@@ -1,10 +1,15 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from wkbspec.cli import main
+import wkbspec
+from wkbspec import __version__
+from wkbspec.cli import _build_parser, main
 
 
 def run(argv, capsys):
@@ -173,3 +178,37 @@ def test_stokes_rejects_bad_max_arclen(arclen, capsys):
         code, out, err = run(["stokes", "--psi", psi, "--max-arclen", arclen, "--format", "json"], capsys)
         assert code == 1
         assert out == "" and "max_arclen" in err
+
+
+def _scan_thetas(out):
+    return [float(l.split(",")[0]) for l in out.splitlines() if l[:1].isdigit()]
+
+
+def test_parser_reused_without_state(tmp_path, capsys):
+    # one parser serves every call; no option of one call leaks into the next
+    assert _build_parser() is _build_parser()
+    code, out, _ = run(["scan", "--from", "0", "--to", "20", "--steps", "2", "--degrees"], capsys)
+    assert code == 0 and _scan_thetas(out) == [0.0, math.radians(20.0)]
+    code, out, _ = run(["scan", "--from", "0", "--to", "0.3", "--steps", "2"], capsys)
+    assert code == 0 and _scan_thetas(out) == [0.0, 0.3]
+
+    svg = tmp_path / "ray.svg"
+    assert main(["stokes", "--psi", "0.6", "--gamma", "0.4", "--out", str(svg)]) == 0
+    assert "stroke-dasharray" in svg.read_text()
+    assert main(["stokes", "--psi", "0.6", "--out", str(svg)]) == 0
+    assert "stroke-dasharray" not in svg.read_text()
+
+    code, out, err = run(["scan", "--from", "zero", "--to", "0.3", "--steps", "2"], capsys)
+    assert code == 2 and out == "" and "--from" in err
+    code, out, _ = run(["scan", "--from", "0.1", "--to", "0.3", "--steps", "3"], capsys)
+    assert code == 0 and _scan_thetas(out) == [0.1, 0.2, 0.3]
+
+    for _ in range(2):
+        code, out, _ = run(["--version"], capsys)
+        assert code == 0 and out == f"wkbspec {__version__}\n"
+
+
+def test_parser_not_built_at_import():
+    src = os.path.dirname(os.path.dirname(wkbspec.__file__))
+    code = "import wkbspec.cli as c; assert c._build_parser.cache_info().currsize == 0"
+    subprocess.run([sys.executable, "-c", code], check=True, env={**os.environ, "PYTHONPATH": src})

@@ -328,6 +328,22 @@ def test_crossing_counts_match_traced_curves(gamma):
         assert (rep.count_complex1, rep.count_complex2) == tuple(map(len, traced)), chk.psi
 
 
+@pytest.mark.parametrize("psi", [0.5 * math.pi, math.pi, 1.5 * math.pi])
+@pytest.mark.parametrize("gamma", [0.1, math.pi / 8.0, 0.6, 0.73])
+def test_crossing_counts_match_traced_curves_compound(psi, gamma):
+    # at psi = m pi/2 the strip has zero width; counting it as the limit of a
+    # thin one gave (1, 1) at (3 pi/2, 0.6), where the traced graph has (1, 0)
+    rep = ray_crossing_report(psi, gamma)
+    traced = _traced_crossings(psi, gamma)
+    assert (rep.count_complex1, rep.count_complex2) == tuple(map(len, traced))
+    pot = PotentialQuadratic.z_form(psi)
+    direction = cmath.exp(1j * (gamma - psi))
+    for r in rep.crossings_complex1:
+        fine = [h[0] for k in range(3)
+                for h in _ray_polyline_crossings(direction, trace_stokes_curve(pot, 0j, k, 8.0, sag_tol=1e-10).points)]
+        assert min(abs(f - r) for f in fine) <= 1e-6 * r
+
+
 def test_crossing_radii_match_fine_traces():
     # each crossing curve traced again at sag_tol 1e-10, just past the
     # crossing; the default sag_tol 1e-4 puts some crossings 1e-1 off

@@ -3,6 +3,8 @@ import math
 
 import pytest
 
+from wkbspec.actions import half_line_integral_split
+from wkbspec import threshold
 from wkbspec.errors import SignAnomalyError
 from wkbspec.threshold import (
     THETA_HI,
@@ -33,11 +35,50 @@ def test_endpoint_signs():
 
 def test_upper_limit_positive():
     # theta -> pi/6: F tends to the positive real integral value
-    from wkbspec.actions import half_line_integral_split
-
     re_i, _ = half_line_integral_split(1.0 / math.sqrt(3.0))
     assert abs(f_theta(math.pi / 6.0 - 1e-9) - re_i) < 1e-6
     assert re_i > 0.0
+
+
+_MP_THETAS = [0.0, 1e-12, 1e-8, 1e-3, 0.1, math.pi / 10.0, 0.3189, math.pi / 9.0, 0.45, math.pi / 6.0 - 1e-12]
+
+
+@pytest.mark.parametrize("theta", _MP_THETAS)
+def test_f_theta_matches_mpmath(theta):
+    # F from I = int_0^{tan theta} sqrt(t^2 - i t) dt by tanh-sinh quadrature
+    # at 40 digits; both the closed form and the split quadrature are within
+    # 6.4e-17 at these points
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        th = mpmath.mpf(theta)
+        psi2 = 2 * (mpmath.pi / 8 - 3 * th / 4)
+        i_val = mpmath.quad(lambda t: mpmath.sqrt(t * t - 1j * t), [0, mpmath.tan(th)])
+        ref = -mpmath.sin(psi2) * (mpmath.pi / 8 + i_val.imag) + mpmath.cos(psi2) * i_val.real
+        assert abs(f_theta(theta) - ref) < 2e-16
+        assert abs(f_theta_routes(theta)["split"] - ref) < 2e-16
+
+
+@pytest.mark.parametrize("theta", _MP_THETAS)
+def test_split_route_is_the_split_quadrature(theta):
+    # the split route must stay the quadrature, not the closed form of f_theta
+    psi2 = 2.0 * (math.pi / 8.0 - 0.75 * theta)
+    re_i, im_i = half_line_integral_split(math.tan(theta))
+    expected = -math.sin(psi2) * (math.pi / 8.0 + im_i) + math.cos(psi2) * re_i
+    assert f_theta_routes(theta)["split"] == expected
+
+
+def test_elementary_check_uses_the_split_quadrature(monkeypatch):
+    # check (h) compares the elementary F(pi/10) with the quadrature, not with
+    # the closed form that f_theta shares with it
+    seen = []
+
+    def spy(x):
+        seen.append(x)
+        return half_line_integral_split(x)
+
+    monkeypatch.setattr(threshold, "half_line_integral_split", spy)
+    verify_threshold_bounds()
+    assert math.tan(THETA_LO) in seen
 
 
 @pytest.mark.parametrize("theta", [0.0, 0.05, THETA_LO, 0.32, THETA_HI, 0.5])
