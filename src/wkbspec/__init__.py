@@ -7,7 +7,7 @@ a = 2/3 operator.
 
 __version__ = "0.1.0"
 
-from .numerics import Bracket, Contour
+from .numerics import Bracket, Contour, gamma_fn
 from .actions import (
     PotentialQuadratic,
     action,
@@ -59,6 +59,7 @@ __all__ = [
     "eigenfunction",
     "f_theta",
     "f_theta_routes",
+    "gamma_fn",
     "half_line_integral_split",
     "homogeneous_pair",
     "numerical_ray_extremum",
