@@ -10,7 +10,6 @@ __version__ = "0.1.0"
 from .numerics import Bracket, Contour, gamma_fn
 from .actions import (
     PotentialQuadratic,
-    action,
     action_with_phase,
     half_line_integral_split,
     segment_integral_closed,
@@ -49,7 +48,6 @@ __all__ = [
     "OperatorSpec",
     "PotentialQuadratic",
     "SampledFunction",
-    "action",
     "action_with_phase",
     "apply_inverse",
     "bs_constant",

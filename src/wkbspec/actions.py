@@ -29,7 +29,6 @@ from .numerics import Contour, _leggauss
 
 __all__ = [
     "PotentialQuadratic",
-    "action",
     "action_with_phase",
     "half_line_integral_split",
     "segment_integral_closed",
@@ -277,10 +276,12 @@ def _action_over_segment(pot, a, b, phase_in):
 def action_with_phase(
     pot: PotentialQuadratic, path: Contour, initial_arg: float
 ) -> Tuple[complex, float]:
-    """Action integral along the path plus the final tracked arg P.
+    """Integral of the branch-tracked sqrt(P) along the path, and the final
+    tracked arg P, with which a caller continues the branch on a further leg.
 
-    The final phase lets a caller continue the same branch on a subsequent
-    leg (see the additivity property of the action).
+    Composite Gauss panels with geometric grading toward contour endpoints
+    that sit on turning points and toward the closest approach of a turning
+    point that a segment passes near; accuracy target 1e-11 max(1, |S|).
     """
     _check_clearance(pot, path)
     total = 0.0 + 0.0j
@@ -289,16 +290,6 @@ def action_with_phase(
         part, phase = _action_over_segment(pot, a, b, phase)
         total += part
     return total, phase
-
-
-def action(pot: PotentialQuadratic, path: Contour, initial_arg: float) -> complex:
-    """Integral of the branch-tracked sqrt(P) along the path.
-
-    Composite Gauss panels with geometric grading toward contour endpoints
-    that sit on turning points and toward the closest approach of a turning
-    point that a segment passes near; accuracy target 1e-11 max(1, |S|).
-    """
-    return action_with_phase(pot, path, initial_arg)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -59,6 +59,12 @@ def _angle(value: float, degrees: bool) -> float:
     return math.radians(value) if degrees else value
 
 
+def _mod_2pi(x: float) -> float:
+    """x mod 2 pi in [0, 2 pi): a tiny negative x rounds up to 2 pi, taken as 0."""
+    r = x % (2 * math.pi)
+    return 0.0 if r == 2 * math.pi else r
+
+
 def _emit(text: str, out: Optional[str]):
     if out is None:
         sys.stdout.write(text)
@@ -117,7 +123,7 @@ def _cmd_stokes(args, argv) -> int:
     if args.t_form is not None:
         pot = PotentialQuadratic.t_form(args.t_form)
     else:
-        pot = PotentialQuadratic.z_form(_angle(args.psi, args.degrees) % (2 * math.pi))
+        pot = PotentialQuadratic.z_form(_mod_2pi(_angle(args.psi, args.degrees)))
     graph = build_stokes_graph(pot, max_arclen=args.max_arclen)
     ray = None
     if args.gamma is not None:
@@ -126,7 +132,7 @@ def _cmd_stokes(args, argv) -> int:
     if args.format == "json":
         payload = {
             "kind": pot.kind,
-            "psi": pot.psi if pot.kind == "z" else cmath.phase(pot.mu) % (2 * math.pi),
+            "psi": pot.psi if pot.kind == "z" else _mod_2pi(cmath.phase(pot.mu)),
             "compound": graph.compound,
             "curves": [
                 {
@@ -230,8 +236,7 @@ def _cmd_verify(args, argv) -> int:
     for i in range(m):
         psi = (i + 0.5) * gamma / m
         tau0 = ray_extremum(gamma, psi)[0]
-        # the scan window must hold the extremum, which moves out as gamma grows
-        tnum = numerical_ray_extremum(psi, gamma, tau_hi=max(3.0, 2.0 * tau0))
+        tnum = numerical_ray_extremum(psi, gamma)
         extremum_worst = max(extremum_worst, abs(tau0 - tnum))
     ok = extremum_worst < 1e-8
     failures += 0 if ok else 1

@@ -26,7 +26,7 @@ class TurningPointError(ValueError):
 
 
 class TracingError(NumericsError):
-    """Level-curve tracing stalled (corrector kept failing)."""
+    """Stokes-curve tracing stalled: Newton on S(z) = i s did not converge."""
 
 
 class WronskianError(NumericsError):

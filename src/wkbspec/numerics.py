@@ -73,10 +73,6 @@ class Contour:
                 raise ValueError("consecutive contour nodes must be distinct")
         object.__setattr__(self, "nodes", pts)
 
-    @property
-    def arclength(self) -> float:
-        return sum(abs(b - a) for a, b in self.segments())
-
     def segments(self):
         return list(zip(self.nodes[:-1], self.nodes[1:]))
 

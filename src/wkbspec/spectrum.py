@@ -141,7 +141,6 @@ class SpectrumResult:
 @dataclass(frozen=True)
 class SNumberReport:
     values: Tuple[float, ...]
-    decay_exponent: float
     expected_exponent: float
 
 
@@ -755,21 +754,13 @@ def s_numbers(spec: OperatorSpec, n_max: int) -> SNumberReport:
     """Singular values of the inverse operator, s_n = 1/|lambda_n|.
 
     Uses the exact factorization |lambda_n| = |c|^{2/(a+2)} t_n with the
-    c = 1 reference t_n; the reported decay exponent is a log-log fit over
-    the upper half of the range, to compare against -2 alpha/(alpha + 2).
+    c = 1 reference t_n.  The values decay like n^expected_exponent, with
+    expected_exponent = -2 alpha/(alpha + 2) from the large-n law of
+    t_asymptotic; a caller fits the measured slope over the range it needs.
     """
     t_ref = real_spectrum(spec.alpha, n_max)
     pref = abs(spec.c) ** (-2.0 / (spec.alpha + 2.0))
-    vals = [pref / t for t in t_ref]
-    n0 = min(max(2, n_max // 2), max(1, n_max - 1))
-    if n_max >= 2:
-        ns = np.arange(n0, n_max + 1, dtype=float)
-        ys = np.log(np.array(vals[n0 - 1 :]))
-        slope = float(np.polyfit(np.log(ns), ys, 1)[0])
-    else:
-        slope = math.nan  # a single mode carries no decay information
     return SNumberReport(
-        values=tuple(vals),
-        decay_exponent=slope,
+        values=tuple(pref / t for t in t_ref),
         expected_exponent=-2.0 * spec.alpha / (spec.alpha + 2.0),
     )

@@ -67,10 +67,6 @@ class StokesCurve:
     asymptotic_angle: Optional[float] = None
     reaches: Optional[complex] = None
 
-    @property
-    def arclength(self) -> float:
-        return float(sum(abs(b - a) for a, b in zip(self.points[:-1], self.points[1:])))
-
 
 @dataclass(frozen=True)
 class StokesGraph:
@@ -87,8 +83,6 @@ class RayCrossingReport:
     psi: float
     crossings_complex1: tuple  # radii of crossings outside the origin
     crossings_complex2: tuple
-    crossing_points_complex1: tuple
-    crossing_points_complex2: tuple
     extremum: Optional[Tuple[float, float]]  # (tau0, beta0) when present
 
     @property
@@ -259,26 +253,11 @@ def build_stokes_graph(
     arg mu = 0 mod pi/2); only then does a traced curve end at the other
     turning point.
     """
-    tps = pot.turning_points()
-    curves = []
-    for tp in tps:
-        for k in range(3):
-            curves.append(trace_stokes_curve(pot, tp, k, max_arclen, sag_tol=sag_tol))
-    # deterministic order: by origin (0 first), then launch angle
-    order = sorted(
-        range(len(curves)),
-        key=lambda i: (abs(curves[i].origin - tps[0]) > 1e-12, curves[i].initial_angle),
-    )
-    curves = [curves[i] for i in order]
-    c1 = tuple(i for i, c in enumerate(curves) if abs(c.origin - tps[0]) < 1e-12)
-    c2 = tuple(i for i, c in enumerate(curves) if abs(c.origin - tps[1]) < 1e-12)
-    return StokesGraph(
-        potential=pot,
-        curves=tuple(curves),
-        complex1=c1,
-        complex2=c2,
-        compound=_compound(pot),
-    )
+    # trace order is the graph order: the first turning point's curves by
+    # increasing launch angle (launch_angles grows with k), then the second's
+    curves = tuple(trace_stokes_curve(pot, tp, k, max_arclen, sag_tol=sag_tol)
+                   for tp in pot.turning_points() for k in range(3))
+    return StokesGraph(pot, curves, (0, 1, 2), (3, 4, 5), _compound(pot))
 
 
 # ---------------------------------------------------------------------------
@@ -307,18 +286,22 @@ def ray_extremum(gamma: float, psi: float) -> Optional[Tuple[float, float]]:
     return None
 
 
-def numerical_ray_extremum(psi: float, gamma: float, tau_hi: float = 3.0) -> Optional[float]:
+def numerical_ray_extremum(psi: float, gamma: float) -> Optional[float]:
     """Locate the extremum of Re S along the ray by a root of its slope.
 
     Independent of the closed-form ray_extremum: d(Re S)/d tau =
     Re(sqrt(P) e^{i(gamma - psi)}), with sqrt(P) continued from the origin
-    by the chord rule, is scanned on 48 taus in (0, tau_hi] and refined at
-    its first sign change to a bracket 1e-11 wide (a value-based search
-    alone is limited to sqrt(eps/|S''|), and the extremum can be nearly
-    flat close to the regime boundaries).  Returns None when the scan sees
-    no sign change (monotone case).
+    by the chord rule, is scanned on 48 taus in (0, max(3, 2/sin(4 gamma))]
+    (every extremum has tau0 <= 1/sin(4 gamma)) and refined at its first
+    sign change to a bracket 1e-11 wide (a value-based search alone is
+    limited to sqrt(eps/|S''|), and the extremum can be nearly flat close
+    to the regime boundaries).  Returns None when the scan sees no sign
+    change (monotone case).
     """
+    if not 0.0 < gamma < math.pi / 4.0:
+        raise ValueError("gamma must lie in (0, pi/4)")
     pot = PotentialQuadratic.z_form(psi)
+    tau_hi = max(3.0, 2.0 / math.sin(4.0 * gamma))
     d = cmath.exp(1j * (gamma - psi))
     # arg P at the start of the ray: P ~ -e^{4 i psi} z with z = tau e^{i(gamma-psi)}
     anchor = 3.0 * psi + gamma + math.pi
@@ -475,8 +458,6 @@ def _crossing_reports(psis: List[float], gamma: float) -> List[RayCrossingReport
             psi=ray.psi,
             crossings_complex1=tuple(hits[0]),
             crossings_complex2=tuple(hits[1]),
-            crossing_points_complex1=tuple(r * ray.direction for r in hits[0]),
-            crossing_points_complex2=tuple(r * ray.direction for r in hits[1]),
             extremum=ray.extremum,
         ))
     return reports

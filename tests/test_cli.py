@@ -135,7 +135,7 @@ def test_verify_deterministic_and_green(tmp_path, capsys):
 
 
 def test_verify_large_gamma(tmp_path):
-    # the extremum scan window grows with tau0, and the crossings come from
+    # the extremum scan window grows like 1/sin(4 gamma), and the crossings come from
     # the closed-form action with no arclength budget, so gamma in
     # [0.75, pi/4), where the crossings recede like 1/sin(4 gamma), passes
     out = tmp_path / "v.txt"
@@ -154,6 +154,30 @@ def test_stokes_near_axis_mu_is_not_compound(tmp_path):
     payload = json.loads(out.read_text())
     assert payload["compound"] is False
     assert [c["terminal"] for c in payload["curves"]] == ["infinity"] * 6
+
+
+@pytest.mark.parametrize(
+    "argv, ref_argv",
+    [
+        (["--psi=-1e-20"], ["--psi=0"]),
+        (["--psi=-1e-18", "--degrees"], ["--psi=0"]),
+        (["--t-form=1,-1e-20"], ["--t-form=1,0"]),
+    ],
+    ids=["psi", "psi-degrees", "t-form"],
+)
+def test_stokes_psi_just_below_zero_is_zero(argv, ref_argv, capsys):
+    # x % (2 pi) rounds up to exactly 2 pi for a tiny negative x
+    code, out, err = run(["stokes", *argv, "--format", "json"], capsys)
+    assert code == 0, err
+    payload = json.loads(out)
+    assert payload["psi"] == 0.0
+    _, ref, _ = run(["stokes", *ref_argv, "--format", "json"], capsys)
+    ref = json.loads(ref)
+    assert payload["compound"] == ref["compound"]
+    for curve, ref_curve in zip(payload["curves"], ref["curves"], strict=True):
+        assert curve["terminal"] == ref_curve["terminal"]
+        assert curve["asymptotic_angle"] == ref_curve["asymptotic_angle"]
+        np.testing.assert_allclose(curve["points"], ref_curve["points"], rtol=0, atol=1e-12)
 
 
 def test_bad_arguments_exit_2(capsys):

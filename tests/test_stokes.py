@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from wkbspec.actions import PotentialQuadratic, action, action_with_phase
+from wkbspec.actions import PotentialQuadratic, action_with_phase
 from wkbspec.numerics import Contour
 from wkbspec.stokes import (
     build_stokes_graph,
@@ -107,7 +107,7 @@ def test_re_s_conserved_along_curves():
         pts = list(curve.points)
         for frac in (0.35, 1.0):
             m = max(2, int(len(pts) * frac))
-            val = action(pot, Contour(pts[:m]), cmath.phase(pot(pts[1])))
+            val = action_with_phase(pot, Contour(pts[:m]), cmath.phase(pot(pts[1])))[0]
             assert abs(val.real) < 1e-8
 
 
@@ -148,7 +148,7 @@ def test_re_s_conserved_at_every_stored_point():
     for curve in graph.curves:
         pts = curve.points
         w_ref = cmath.sqrt(pot(pts[1]))
-        s_val = action(pot, Contour(pts[:2]), cmath.phase(pot(pts[1])))
+        s_val = action_with_phase(pot, Contour(pts[:2]), cmath.phase(pot(pts[1])))[0]
         worst = abs(s_val.real)
         for a, b in zip(pts[1:-1], pts[2:]):
             if a == b:
@@ -178,10 +178,19 @@ def test_initial_inclination_recorded_vs_launch_segment():
 
 
 def test_graph_deterministic_ordering():
-    g1 = build_stokes_graph(PotentialQuadratic.z_form(0.9))
-    g2 = build_stokes_graph(PotentialQuadratic.z_form(0.9))
-    assert [c.initial_angle for c in g1.curves] == [c.initial_angle for c in g2.curves]
-    assert g1.complex1 == (0, 1, 2) and g1.complex2 == (3, 4, 5)
+    # the graph keeps trace order, so each complex lists its turning point's
+    # curves by increasing launch angle
+    pots = [PotentialQuadratic.z_form(psi) for psi in (0.0, 0.9, 3.5, 6.2)] + [PotentialQuadratic.t_form(1.2 + 0.7j)]
+    for pot in pots:
+        g1 = build_stokes_graph(pot)
+        g2 = build_stokes_graph(pot)
+        assert [c.initial_angle for c in g1.curves] == [c.initial_angle for c in g2.curves]
+        assert g1.complex1 == (0, 1, 2) and g1.complex2 == (3, 4, 5)
+        tps = pot.turning_points()
+        for cx, tp in ((g1.complex1, tps[0]), (g1.complex2, tps[1])):
+            angles = [g1.curves[i].initial_angle for i in cx]
+            assert angles == sorted(angles) and len(set(angles)) == 3, (pot, angles)
+            assert all(g1.curves[i].origin == tp for i in cx), pot
 
 
 def _poly_distance(p, polylines):
@@ -309,9 +318,16 @@ def _ray_polyline_crossings(direction, points, r_min=1e-6):
     return out
 
 
+def _oracle_arclen(gamma):
+    # the extremum tau0 <= 1/sin(4 gamma) moves out as gamma nears pi/4, and
+    # the crossings with it; the length depends on gamma alone, not on the
+    # radii of the walk under test
+    return 12.0 + 8.0 / math.sin(4.0 * gamma)
+
+
 def _traced_crossings(psi, gamma):
     """Crossing radii of the ray with the traced polylines of each complex."""
-    graph = build_stokes_graph(PotentialQuadratic.z_form(psi))
+    graph = build_stokes_graph(PotentialQuadratic.z_form(psi), _oracle_arclen(gamma))
     direction = cmath.exp(1j * (gamma - psi))
     return [
         sorted(r for idx in cx for r, _ in _ray_polyline_crossings(direction, graph.curves[idx].points))
@@ -319,7 +335,7 @@ def _traced_crossings(psi, gamma):
     ]
 
 
-@pytest.mark.parametrize("gamma", [0.1, 0.318939790429, 0.5, 0.73])
+@pytest.mark.parametrize("gamma", [0.1, 0.318939790429, 0.5, 0.73, 0.76, 0.78])
 def test_crossing_counts_match_traced_curves(gamma):
     # the closed-form walk against the traced oracle at every psi midpoint
     for chk in classify_crossings(gamma, 30):
@@ -329,7 +345,7 @@ def test_crossing_counts_match_traced_curves(gamma):
 
 
 @pytest.mark.parametrize("psi", [0.5 * math.pi, math.pi, 1.5 * math.pi])
-@pytest.mark.parametrize("gamma", [0.1, math.pi / 8.0, 0.6, 0.73])
+@pytest.mark.parametrize("gamma", [0.1, math.pi / 8.0, 0.6, 0.73, 0.78])
 def test_crossing_counts_match_traced_curves_compound(psi, gamma):
     # at psi = m pi/2 the strip has zero width; counting it as the limit of a
     # thin one gave (1, 1) at (3 pi/2, 0.6), where the traced graph has (1, 0)
@@ -340,7 +356,7 @@ def test_crossing_counts_match_traced_curves_compound(psi, gamma):
     direction = cmath.exp(1j * (gamma - psi))
     for r in rep.crossings_complex1:
         fine = [h[0] for k in range(3)
-                for h in _ray_polyline_crossings(direction, trace_stokes_curve(pot, 0j, k, 8.0, sag_tol=1e-10).points)]
+                for h in _ray_polyline_crossings(direction, trace_stokes_curve(pot, 0j, k, _oracle_arclen(gamma), sag_tol=1e-10).points)]
         assert min(abs(f - r) for f in fine) <= 1e-6 * r
 
 
@@ -388,5 +404,7 @@ def test_crossings_regime_three():
 def test_crossing_report_argument_validation():
     with pytest.raises(ValueError):
         ray_crossing_report(0.5, 1.0)  # gamma outside (0, pi/4)
+    with pytest.raises(ValueError):
+        numerical_ray_extremum(0.5, math.pi / 4.0)
     with pytest.raises(ValueError):
         ray_extremum(GAMMA, GAMMA)
