@@ -28,7 +28,7 @@ from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
-from .actions import PotentialQuadratic, _chord_arg, _closed_action
+from .actions import PotentialQuadratic, _closed_action
 from .errors import TracingError
 from .numerics import refine_brackets
 
@@ -102,6 +102,7 @@ class CrossingCheck:
     regime: int  # 1: psi in (0, gamma); 2: (gamma, 2 pi - 3 gamma); 3: (2 pi - 3 gamma, 2 pi)
     report: RayCrossingReport
     matches: bool
+    extremum_error: Optional[float]  # |tau0 - numerical tau0| in regimes 1 and 3 (inf if not found), else None
 
 
 # ---------------------------------------------------------------------------
@@ -116,11 +117,6 @@ def launch_angles(pot: PotentialQuadratic, tp: complex) -> List[float]:
     """
     arg_c = cmath.phase(pot.slope_at(tp))
     return [math.pi / 3.0 - arg_c / 3.0 + 2.0 * math.pi * k / 3.0 for k in range(3)]
-
-
-def _other_turning_point(pot: PotentialQuadratic, tp: complex) -> complex:
-    a, b = pot.turning_points()
-    return b if abs(tp - a) < abs(tp - b) else a
 
 
 def _compound(pot: PotentialQuadratic) -> bool:
@@ -171,23 +167,26 @@ def trace_stokes_curve(
     Terminates past an arclength of max_arclen times the scale
     max(1, |t2 - t1|) of the step caps (TO_INFINITY, with the exact
     asymptotic direction pi/4 - arg(k)/4 + j pi/2 nearest the last chord),
-    or, on a compound potential (see _compound), close to the other turning
-    point (TO_TURNING_POINT).  So a finite curve between far-apart turning
-    points is never cut short, and a curve that only passes near the other
-    turning point is not taken for one.
+    or, on a compound potential (see _compound), within 1e-2 |t2 - t1| of
+    the other turning point (TO_TURNING_POINT); the launch is 1e-4 |t2 - t1|
+    from tp.  So no finite curve is cut short, and no curve is taken for
+    one, however far apart or close the turning points are.
     """
     if not (math.isfinite(max_arclen) and max_arclen > 0.0):
         raise ValueError("max_arclen must be finite and positive")
     tp = complex(tp)
+    other = max(pot.turning_points(), key=lambda t: abs(t - tp))
+    dist = abs(other - tp)  # sizes the launch and the capture radius
+    if dist < 1e-100:  # sqrt(P)^3, about (1e-2 dist)^3 at the launch, would underflow
+        raise ValueError(f"turning points {dist:.3g} apart are too close to trace")
     phi = launch_angles(pot, tp)[k % 3]
-    other = _other_turning_point(pot, tp)
-    scale = max(1.0, abs(other - tp))
+    scale = max(1.0, dist)  # sizes the step and arclength caps
     compound = _compound(pot)
     at = _closed_action(pot, tp)
 
     # launch on the chord from tp, where arg P -> arg P'(tp) + phi, and
     # clean up onto S = i Im S
-    z = tp + _LAUNCH_DISTANCE * scale * cmath.exp(1j * phi)
+    z = tp + _LAUNCH_DISTANCE * dist * cmath.exp(1j * phi)
     s_val, q, phase, lg = at(tp, cmath.phase(pot.slope_at(tp)) + phi, 0j, z)
     s = s_val.imag
     z, q, phase, lg = _solve(at, z, phase, lg, z - s_val.real / q, 1j * s)
@@ -215,7 +214,7 @@ def trace_stokes_curve(
         points.append(z_new)
         arclen += abs(z_new - z)
         z = z_new
-        if compound and abs(z - other) < _CAPTURE_RADIUS * scale:
+        if compound and abs(z - other) < _CAPTURE_RADIUS * dist:
             terminal = TO_TURNING_POINT
             reaches = other
             points.append(other)
@@ -286,42 +285,70 @@ def ray_extremum(gamma: float, psi: float) -> Optional[Tuple[float, float]]:
     return None
 
 
+_R_MIN = 1e-6  # crossings this close to z = 0 do not count ("outside z = 0"); the extremum scan starts here
+
+
+def _refine_lanes(f, lo, hi, f_lo, f_hi) -> np.ndarray:
+    """The zero of f(j, tau) in (lo[j], hi[j]) for every lane j, with one
+    refine_brackets call.
+
+    refine_brackets hands f_many the abscissae of the open lanes only, and
+    every lane has its own function.  So lane j is refined on [2 j, 2 j + 1],
+    the affine image of its bracket, and x // 2 names the lane of x.  The
+    tolerance is 1e-12 of a bracket, or 4 ulp of the largest abscissa on
+    sweeps of 2^10 lanes or more.
+    """
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    x_lo = 2.0 * np.arange(len(lo))
+
+    def f_many(x):
+        j = (x // 2.0).astype(int)
+        return f(j, lo[j] + (x % 2.0) * (hi[j] - lo[j]))
+
+    a, b = refine_brackets(f_many, x_lo, x_lo + 1.0, f_lo, f_hi, max(1e-12, 4.0 * np.spacing(2.0 * len(lo))))
+    return lo + (0.5 * (a + b) - x_lo) * (hi - lo)
+
+
+def _ray_extrema(psis: List[float], gamma: float) -> np.ndarray:
+    """numerical_ray_extremum (inf for None) at every psi, with one refine_brackets call."""
+    if not 0.0 < gamma < math.pi / 4.0:
+        raise ValueError("gamma must lie in (0, pi/4)")
+
+    def slope(psi, tau):
+        # arg P starts at 3 psi + gamma + pi (P ~ -e^{4 i psi} z near 0), and
+        # along the ray only its factor z - 1 turns, by Arg(1 - z)
+        d = np.exp(1j * (gamma - psi))
+        z = tau * d
+        phase = 3.0 * psi + gamma + math.pi + np.angle(1.0 - z)
+        return (np.sqrt(tau * np.abs(1.0 - z)) * np.exp(0.5j * phase) * d).real
+
+    psi = np.asarray(psis, dtype=float)
+    taus = np.geomspace(_R_MIN, max(3.0, 2.0 / math.sin(4.0 * gamma)), 48)
+    g = slope(psi[:, None], taus)
+    change = np.sign(g[:, :-1]) != np.sign(g[:, 1:])
+    rows = np.flatnonzero(change.any(axis=1))
+    i = change[rows].argmax(axis=1)  # the first sign change of each row
+    out = np.full(len(psi), math.inf)
+    out[rows] = _refine_lanes(
+        lambda j, tau: slope(psi[rows[j]], tau), taus[i], taus[i + 1], g[rows, i], g[rows, i + 1]
+    )
+    return out
+
+
 def numerical_ray_extremum(psi: float, gamma: float) -> Optional[float]:
     """Locate the extremum of Re S along the ray by a root of its slope.
 
     Independent of the closed-form ray_extremum: d(Re S)/d tau =
-    Re(sqrt(P) e^{i(gamma - psi)}), with sqrt(P) continued from the origin
-    by the chord rule, is scanned on 48 taus in (0, max(3, 2/sin(4 gamma))]
-    (every extremum has tau0 <= 1/sin(4 gamma)) and refined at its first
-    sign change to a bracket 1e-11 wide (a value-based search alone is
-    limited to sqrt(eps/|S''|), and the extremum can be nearly flat close
-    to the regime boundaries).  Returns None when the scan sees no sign
-    change (monotone case).
+    Re(sqrt(P) e^{i(gamma - psi)}), sqrt(P) continued from the origin along
+    the ray, is scanned on 48 taus spaced geometrically from 1e-6 (tau0 -> 0
+    at psi -> 2 pi - 3 gamma) to max(3, 2/sin(4 gamma)) (tau0 <= 1/sin(4
+    gamma)), and its first sign change is refined to 1e-12 of its scan
+    interval (a value-based search alone is limited to sqrt(eps/|S''|), and
+    the extremum can be nearly flat close to the regime boundaries).
+    Returns None when the scan sees no sign change (monotone case).
     """
-    if not 0.0 < gamma < math.pi / 4.0:
-        raise ValueError("gamma must lie in (0, pi/4)")
-    pot = PotentialQuadratic.z_form(psi)
-    tau_hi = max(3.0, 2.0 / math.sin(4.0 * gamma))
-    d = cmath.exp(1j * (gamma - psi))
-    # arg P at the start of the ray: P ~ -e^{4 i psi} z with z = tau e^{i(gamma-psi)}
-    anchor = 3.0 * psi + gamma + math.pi
-
-    def slope(tau):
-        z = tau * d
-        phase = anchor + _chord_arg(pot, 0.0, tau_hi * d, z)
-        return (np.sqrt(np.abs(pot(z))) * np.exp(0.5j * phase) * d).real
-
-    taus = tau_hi * (np.arange(1, 49) / 48.0) ** 2
-    g = slope(taus)
-    change = np.flatnonzero(np.sign(g[:-1]) != np.sign(g[1:]))
-    if len(change) == 0:
-        return None
-    i = change[:1]
-    (lo,), (hi,) = refine_brackets(slope, taus[i], taus[i + 1], g[i], g[i + 1], 1e-11)
-    return 0.5 * (lo + hi)
-
-
-_R_MIN = 1e-6  # crossings this close to z = 0 do not count ("outside z = 0")
+    tau0 = float(_ray_extrema([psi], gamma)[0])
+    return tau0 if tau0 < math.inf else None
 
 
 @dataclass(frozen=True)
@@ -424,31 +451,19 @@ def _walk(ray: _Ray, radii) -> Tuple[list, list]:
 
 
 def _crossing_reports(psis: List[float], gamma: float) -> List[RayCrossingReport]:
-    """ray_crossing_report for every psi, with one refine_brackets call.
-
-    refine_brackets hands f_many the abscissae of the open lanes only, and
-    every lane has its own function.  So lane j is refined on [2 j, 2 j + 1],
-    the affine image of its bracket, and x // 2 names the lane of x.  The
-    tolerance is 1e-12 of a bracket, or 4 ulp of the largest abscissa on
-    sweeps of 2^10 lanes or more.
-    """
+    """ray_crossing_report for every psi, with one refine_brackets call."""
     rays = [_ray(psi, gamma) for psi in psis]
     lanes = [(ray, b) for ray in rays for b in ray.brackets]
-    n = len(lanes)
 
-    def f_many(x):
-        out = np.empty(len(x))
-        for i, xi in enumerate(x):
-            ray, (lo, hi, _, _, k, _) = lanes[int(xi // 2.0)]
-            out[i] = ray.s_ray(lo + (xi % 2.0) * (hi - lo)).real - ray.levels[k].real
+    def level_gap(js, taus):
+        out = np.empty(len(taus))
+        for i, (j, tau) in enumerate(zip(js, taus)):
+            ray, (_, _, _, _, k, _) = lanes[j]
+            out[i] = ray.s_ray(tau).real - ray.levels[k].real
         return out
 
-    x_lo = 2.0 * np.arange(n)
-    f_lo = np.array([b[2] for _, b in lanes])
-    f_hi = np.array([b[3] for _, b in lanes])
-    a, b = refine_brackets(f_many, x_lo, x_lo + 1.0, f_lo, f_hi, max(1e-12, 4.0 * np.spacing(2.0 * n)))
-    u = 0.5 * (a + b) - x_lo
-    radii = [lo + ui * (hi - lo) for (_, (lo, hi, *_)), ui in zip(lanes, u)]
+    ends = np.array([b[:4] for _, b in lanes], dtype=float).reshape(-1, 4)  # lo, hi, f_lo, f_hi
+    radii = _refine_lanes(level_gap, *ends.T)
     reports, i = [], 0
     for ray in rays:
         hits = _walk(ray, radii[i : i + len(ray.brackets)])
@@ -526,7 +541,9 @@ def classify_crossings(gamma: float, per_regime: int) -> List[CrossingCheck]:
         for i in range(per_regime)
     ]
     reports = _crossing_reports([psi for _, psi in regime_psis], gamma)
+    tnums = iter(_ray_extrema([rep.psi for rep in reports if rep.extremum], gamma))
     return [
-        CrossingCheck(psi, regime, rep, _fits_regime(regime, rep))
+        CrossingCheck(psi, regime, rep, _fits_regime(regime, rep),
+                      float(abs(rep.extremum[0] - next(tnums))) if rep.extremum else None)
         for (regime, psi), rep in zip(regime_psis, reports)
     ]

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from wkbspec.actions import PotentialQuadratic, action_with_phase
-from wkbspec.numerics import Contour
+from wkbspec.numerics import Contour, refine_brackets
 from wkbspec.stokes import (
     build_stokes_graph,
     classify_crossings,
@@ -96,6 +96,23 @@ def test_compound_flag_far_apart_turning_points(mu):
         graph = build_stokes_graph(PotentialQuadratic.t_form(mu))
     assert graph.compound
     assert sum(c.terminal == "turning_point" for c in graph.curves) == 2
+
+
+@pytest.mark.parametrize("mu", [1e-13, 1e-6, 1e-3, 0.005, 0.001j, 0.01, 0.1])
+def test_compound_close_turning_points(mu):
+    # the launch distance and the capture radius scale with |mu| itself, so
+    # only the two curves on [0, mu] end at a turning point
+    graph = build_stokes_graph(PotentialQuadratic.t_form(mu))
+    assert graph.compound
+    finite = [c for c in graph.curves if c.terminal == "turning_point"]
+    assert len(finite) == 2
+    assert {(c.origin, c.reaches) for c in finite} == {(0.0, mu), (mu, 0.0)}
+
+
+def test_turning_points_too_close_to_trace_rejected():
+    # refused at once: next to the launch sqrt(P)^3 underflows to 0
+    with pytest.raises(ValueError):
+        build_stokes_graph(PotentialQuadratic.t_form(1e-200))
 
 
 def test_re_s_conserved_along_curves():
@@ -248,6 +265,39 @@ def test_ray_extremum_matches_numerical(psi):
     tau0, _ = ray_extremum(GAMMA, psi)
     tnum = numerical_ray_extremum(psi, GAMMA)
     assert abs(tau0 - tnum) < 1e-8
+
+
+@pytest.mark.parametrize("gamma, psi", [(0.01, 6.253485307179586), (0.02, 6.223785)])
+def test_numerical_ray_extremum_small_tau0(gamma, psi):
+    # the first regime-3 psi of a 50-per-regime sweep: tau0 = 0.0075, so the
+    # slope scan must start well below it
+    tau0, _ = ray_extremum(gamma, psi)
+    assert abs(tau0 - numerical_ray_extremum(psi, gamma)) < 1e-10
+
+
+@pytest.mark.parametrize("gamma", [0.01, GAMMA, 0.78])
+def test_sweep_records_carry_the_extremum_error(gamma, monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(len(args[1]))
+        return refine_brackets(*args)
+
+    monkeypatch.setattr("wkbspec.stokes.refine_brackets", counted)
+    n = 20
+    checks = classify_crossings(gamma, n)
+    # one call refines the crossings, one every extremum of the sweep
+    assert len(calls) == 2 and calls[1] == 2 * n
+    for chk in checks:
+        if chk.regime == 2:
+            assert chk.extremum_error is None
+            continue
+        assert chk.extremum_error < 1e-8
+        # numerical_ray_extremum is the one-psi view of the same path: its lane
+        # lies on [0, 1] instead of [2 j, 2 j + 1], which moves the refined
+        # root by a few ulp of the lane abscissa times the scan interval
+        tau0 = chk.report.extremum[0]
+        assert abs(abs(tau0 - numerical_ray_extremum(chk.psi, gamma)) - chk.extremum_error) <= 1e-12 * tau0
 
 
 def test_extremum_dichotomy_on_psi_grid():
