@@ -25,6 +25,7 @@ from .threshold import (
     completeness_verdict,
     f_theta,
     f_theta_routes,
+    route_equivalence,
     solve_theta0,
     verify_threshold_bounds,
 )
@@ -64,6 +65,7 @@ __all__ = [
     "ray_crossing_report",
     "ray_extremum",
     "real_spectrum",
+    "route_equivalence",
     "s_numbers",
     "segment_integral_closed",
     "solve_theta0",

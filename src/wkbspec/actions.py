@@ -51,19 +51,26 @@ T_FORM = "t"
 
 @dataclass(frozen=True)
 class PotentialQuadratic:
-    """Quadratic potential, either e^{4 i psi} z (z - 1) or t^2 - mu t."""
+    """P(z) = leading (z - t1)(z - t2), with leading and _zeros = (t1, t2) set
+    once from e^{4 i psi} z (z - 1) (kind "z") or t^2 - mu t (kind "t")."""
 
     kind: str
     psi: float = 0.0
     mu: complex = 1.0 + 0.0j
 
     def __post_init__(self):
-        if self.kind not in (Z_FORM, T_FORM):
+        if self.kind == Z_FORM:
+            if not 0.0 <= self.psi < 2.0 * math.pi:
+                raise ValueError("psi must lie in [0, 2*pi)")
+            k, t2 = cmath.exp(4j * self.psi), 1.0 + 0.0j
+        elif self.kind == T_FORM:
+            if not cmath.isfinite(self.mu) or self.mu == 0:
+                raise ValueError(f"t-form potential needs a finite mu != 0, got {self.mu}")
+            k, t2 = 1.0 + 0.0j, complex(self.mu)
+        else:
             raise ValueError(f"unknown potential kind {self.kind!r}")
-        if self.kind == Z_FORM and not 0.0 <= self.psi < 2.0 * math.pi:
-            raise ValueError("psi must lie in [0, 2*pi)")
-        if self.kind == T_FORM and self.mu == 0:
-            raise ValueError("t-form potential needs mu != 0")
+        object.__setattr__(self, "leading", k)
+        object.__setattr__(self, "_zeros", (0.0 + 0.0j, t2))
 
     @classmethod
     def z_form(cls, psi: float) -> "PotentialQuadratic":
@@ -74,25 +81,14 @@ class PotentialQuadratic:
         return cls(T_FORM, mu=complex(mu))
 
     def __call__(self, z):
-        if self.kind == Z_FORM:
-            return cmath.exp(4j * self.psi) * z * (z - 1.0)
-        return z * z - self.mu * z
+        return self.leading * (z - self._zeros[0]) * (z - self._zeros[1])
 
     def turning_points(self) -> List[complex]:
-        if self.kind == Z_FORM:
-            return [0.0 + 0.0j, 1.0 + 0.0j]
-        return [0.0 + 0.0j, self.mu]
-
-    @property
-    def leading(self) -> complex:
-        """The coefficient k in P(z) = k (z - t1)(z - t2)."""
-        return cmath.exp(4j * self.psi) if self.kind == Z_FORM else 1.0 + 0.0j
+        return list(self._zeros)
 
     def slope_at(self, z: complex) -> complex:
         """dP/dz at z (both zeros are simple)."""
-        if self.kind == Z_FORM:
-            return cmath.exp(4j * self.psi) * (2.0 * z - 1.0)
-        return 2.0 * z - self.mu
+        return self.leading * (2.0 * z - self._zeros[0] - self._zeros[1])
 
 
 # ---------------------------------------------------------------------------
@@ -103,33 +99,9 @@ def _unwrap(raw: float, ref: float) -> float:
     return raw + 2.0 * math.pi * round((ref - raw) / (2.0 * math.pi))
 
 
-def _tp_distance_to_segment(tp: complex, a: complex, b: complex) -> float:
-    d = b - a
-    t = ((tp - a) * d.conjugate()).real / abs(d) ** 2
-    t = min(1.0, max(0.0, t))
-    return abs(tp - (a + t * d))
-
-
-def _check_clearance(pot: PotentialQuadratic, path: Contour):
-    for a, b in path.segments():
-        for tp in pot.turning_points():
-            dist = _tp_distance_to_segment(tp, a, b)
-            if dist >= TURNING_POINT_CLEARANCE:
-                continue
-            if abs(tp - a) < 1e-15 or abs(tp - b) < 1e-15:
-                # endpoint sitting exactly on the turning point: the segment
-                # may still not pass near the OTHER side of it
-                t_proj = ((tp - a) * (b - a).conjugate()).real / abs(b - a) ** 2
-                if -1e-12 <= t_proj <= 1.0 + 1e-12:
-                    continue
-            raise TurningPointError(
-                f"path segment [{a}, {b}] passes within {dist:.2e} of turning point {tp}"
-            )
-
-
 def _on_turning_point(pot: PotentialQuadratic, z: complex):
     """The turning point that z sits on, or None."""
-    return next((tp for tp in pot.turning_points() if abs(z - tp) < _ON_TP), None)
+    return next((tp for tp in pot._zeros if abs(z - tp) < _ON_TP), None)
 
 
 def _chord_arg(pot: PotentialQuadratic, a: complex, b: complex, z):
@@ -145,7 +117,7 @@ def _chord_arg(pot: PotentialQuadratic, a: complex, b: complex, z):
     """
     atan2 = np.arctan2 if isinstance(z, np.ndarray) else math.atan2  # numpy is slow on scalars
     total = 0.0
-    for tp in pot.turning_points():
+    for tp in pot._zeros:
         r = (z - tp) / (b - a if abs(a - tp) < _ON_TP else a - tp)
         arg = atan2(r.imag, r.real)
         if abs(b - tp) < _ON_TP:
@@ -245,13 +217,32 @@ def _graded_quad(f, a, b, grade_a: bool, grade_b: bool):
     return np.sum(half * (f(mid[:, None] + half[:, None] * x) @ w))
 
 
-def _action_over_segment(pot, a, b, phase_in):
+def _chord_splits(pot: PotentialQuadratic, a: complex, b: complex) -> List[complex]:
+    """The quadrature splits of the chord [a, b], ordered from a.
+
+    Each turning point is projected once.  A chord passing within
+    TURNING_POINT_CLEARANCE of one raises TurningPointError, unless it sits
+    on an end and the chord leaves it forward.  One projecting into the
+    interior, within |b - a|/4, and off both ends splits the chord there.
+    """
+    d = b - a
+    splits = []
+    for tp in pot._zeros:
+        t = ((tp - a) * d.conjugate()).real / abs(d) ** 2
+        foot = a + min(1.0, max(0.0, t)) * d
+        dist, to_end = abs(tp - foot), min(abs(tp - a), abs(tp - b))
+        if dist < TURNING_POINT_CLEARANCE and not (to_end < 1e-15 and -1e-12 <= t <= 1.0 + 1e-12):
+            raise TurningPointError(f"path segment [{a}, {b}] passes within {dist:.2e} of turning point {tp}")
+        if 0.0 < t < 1.0 and dist < 0.25 * abs(d) and to_end >= _ON_TP:
+            splits.append(foot)
+    return sorted(splits, key=lambda z: abs(z - a))
+
+
+def _action_over_segment(pot, a, b, splits, phase_in):
     """(integral of sqrt(P), arg P at b) over one straight segment.
 
-    When b is a turning point the phase reported is the one-sided limit
-    along the segment.  A turning point that projects into the interior
-    within a quarter of the segment length splits it there, and both
-    pieces are graded toward the split, where sqrt(P) varies fastest.
+    The pieces between the splits are graded toward each split and each end
+    on a turning point; at a turning point b the phase is the one-sided limit.
     """
     phase_a = _start_arg(pot, a, b, phase_in)
 
@@ -259,16 +250,8 @@ def _action_over_segment(pot, a, b, phase_in):
         phase = phase_a + _chord_arg(pot, a, b, z)
         return np.sqrt(np.abs(pot(z))) * np.exp(0.5j * phase)
 
-    d = b - a
-    splits = []
-    for tp in pot.turning_points():
-        t = ((tp - a) * d.conjugate()).real / abs(d) ** 2
-        near = abs(tp - (a + t * d)) < 0.25 * abs(d)
-        if 0.0 < t < 1.0 and near and min(abs(tp - a), abs(tp - b)) >= _ON_TP:
-            splits.append(a + t * d)
-    ends = [a] + sorted(splits, key=lambda z: abs(z - a)) + [b]
-    graded = [_on_turning_point(pot, z) is not None for z in (a, b)]
-    graded[1:1] = [True] * len(splits)
+    ends = [a, *splits, b]
+    graded = [_on_turning_point(pot, a) is not None, *[True] * len(splits), _on_turning_point(pot, b) is not None]
     total = sum(_graded_quad(sqrt_p, *ends[i : i + 2], *graded[i : i + 2]) for i in range(len(ends) - 1))
     return complex(total), phase_a + float(_chord_arg(pot, a, b, b))
 
@@ -282,12 +265,12 @@ def action_with_phase(
     Composite Gauss panels with geometric grading toward contour endpoints
     that sit on turning points and toward the closest approach of a turning
     point that a segment passes near; accuracy target 1e-11 max(1, |S|).
+    Every segment is checked for clearance before any is integrated.
     """
-    _check_clearance(pot, path)
-    total = 0.0 + 0.0j
-    phase = float(initial_arg)
-    for a, b in path.segments():
-        part, phase = _action_over_segment(pot, a, b, phase)
+    chords = [(a, b, _chord_splits(pot, a, b)) for a, b in path.segments()]
+    total, phase = 0.0 + 0.0j, float(initial_arg)
+    for a, b, splits in chords:
+        part, phase = _action_over_segment(pot, a, b, splits, phase)
         total += part
     return total, phase
 

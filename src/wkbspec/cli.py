@@ -31,7 +31,7 @@ from .spectrum import (
 )
 from .stokes import build_stokes_graph, classify_crossings
 from .svgplot import render_stokes_svg
-from .threshold import f_theta, f_theta_routes, solve_theta0, verify_threshold_bounds
+from .threshold import f_theta, route_equivalence, solve_theta0, verify_threshold_bounds
 
 _FMT = "{:.15e}"
 
@@ -56,6 +56,8 @@ def _positive_int(text: str) -> int:
 
 
 def _angle(value: float, degrees: bool) -> float:
+    if not math.isfinite(value):
+        raise ValueError(f"angles must be finite, got {value}")
     return math.radians(value) if degrees else value
 
 
@@ -212,11 +214,7 @@ def _cmd_verify(args, argv) -> int:
         failures += 0 if chk.passed else 1
         lines.append(f"{status} {chk.name}: value={_num(chk.value)} bound={_num(chk.bound)}")
 
-    routes_worst = 0.0
-    for k in range(25):
-        theta = (math.pi / 6.0 - 1e-9) * k / 24.0
-        r = f_theta_routes(theta)
-        routes_worst = max(routes_worst, abs(r["split"] - r["action"]), abs(r["split"] - r["closed"]))
+    routes_worst = route_equivalence(25)
     ok = routes_worst < 1e-11
     failures += 0 if ok else 1
     lines.append(f"{'PASS' if ok else 'FAIL'} route_equivalence: worst={_num(routes_worst)} bound={_num(1e-11)}")

@@ -89,12 +89,14 @@ class OperatorSpec:
     def __post_init__(self):
         c = complex(self.c)
         object.__setattr__(self, "c", c)
+        if not cmath.isfinite(c):
+            raise ValueError(f"c must be finite, got {c}")
         if c == 0 or abs(cmath.phase(c)) >= math.pi - 1e-15:
             raise ValueError("need a nonzero c with |arg c| < pi")
-        if not self.alpha > 0:
-            raise ValueError("alpha must be positive")
-        if not self.X > 0:
-            raise ValueError("X must be positive")
+        if not (math.isfinite(self.alpha) and self.alpha > 0):
+            raise ValueError("alpha must be finite and positive")
+        if not (math.isfinite(self.X) and self.X > 0):
+            raise ValueError("X must be finite and positive")
         if self.grid_n < 16:
             raise ValueError("grid_n too small")
 
@@ -152,8 +154,8 @@ def bs_constant(alpha: float) -> float:
     """int_0^1 sqrt(1 - u^alpha) du via the Gamma identity,
     Gamma(1/alpha) sqrt(pi) / ((alpha + 2) Gamma(1/alpha + 1/2)).
     """
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+    if not (math.isfinite(alpha) and alpha > 0):
+        raise ValueError("alpha must be finite and positive")
     ratio = math.exp(math.lgamma(1.0 / alpha) - math.lgamma(1.0 / alpha + 0.5))
     return ratio * math.sqrt(math.pi) / (alpha + 2.0)
 
@@ -187,8 +189,10 @@ def default_truncation(alpha: float, t_top: float) -> float:
     so the lambda-free seed direction error dies out before the turning
     point.
     """
-    if t_top <= 0:
-        raise ValueError("t_top must be positive")
+    if not (math.isfinite(alpha) and alpha > 0):
+        raise ValueError("alpha must be finite and positive")
+    if not (math.isfinite(t_top) and t_top > 0):
+        raise ValueError("t_top must be finite and positive")
     x_t = t_top ** (1.0 / alpha)
     xg, wg = _leggauss(24)
 

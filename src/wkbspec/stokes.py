@@ -174,6 +174,8 @@ def trace_stokes_curve(
     """
     if not (math.isfinite(max_arclen) and max_arclen > 0.0):
         raise ValueError("max_arclen must be finite and positive")
+    if not (math.isfinite(sag_tol) and sag_tol > 0.0):
+        raise ValueError("sag_tol must be finite and positive")
     tp = complex(tp)
     other = max(pot.turning_points(), key=lambda t: abs(t - tp))
     dist = abs(other - tp)  # sizes the launch and the capture radius

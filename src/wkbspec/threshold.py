@@ -10,7 +10,9 @@ F is evaluated from its elementary closed form (the arcsin reduction of
 the paper), so solving for theta0, scanning F and the verdicts do no
 quadrature.  Two quadrature routes (split real integrals, branch-tracked
 action difference) are computed independently of it and serve only as
-verification: f_theta_routes, check (h) and the route-equivalence sweep.
+verification: f_theta_routes, check (h) and the route-equivalence sweep
+(route_equivalence, shared by the CLI verify report and the acceptance
+suite).
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ __all__ = [
     "completeness_verdict",
     "f_theta",
     "f_theta_routes",
+    "route_equivalence",
     "solve_theta0",
     "verify_threshold_bounds",
 ]
@@ -128,6 +131,19 @@ def f_theta_routes(theta: float) -> Dict[str, float]:
     return out
 
 
+def route_equivalence(n: int) -> float:
+    """Worst disagreement of the split route with the other two routes of
+    f_theta_routes, over n >= 2 thetas evenly spaced on [0, pi/6 - 1e-9].
+    """
+    if n < 2:
+        raise ValueError(f"route_equivalence needs n >= 2 thetas, got {n}")
+    worst = 0.0
+    for k in range(n):
+        r = f_theta_routes((_THETA_SUP - 1e-9) * k / (n - 1))
+        worst = max(worst, abs(r["split"] - r["action"]), abs(r["split"] - r["closed"]))
+    return worst
+
+
 def solve_theta0(tol: float) -> ThresholdReport:
     """Refine F's bracket [pi/10, pi/9] to an enclosure at most tol wide.
 
@@ -170,6 +186,8 @@ def completeness_verdict(c: complex) -> CompletenessVerdict:
     completeness already follows from the growth-order argument alone.
     """
     c = complex(c)
+    if not cmath.isfinite(c):
+        raise ValueError(f"c must be finite, got {c}")
     if c == 0:
         raise ValueError("c must be nonzero")
     arg_c = abs(cmath.phase(c))

@@ -26,7 +26,7 @@ from wkbspec.spectrum import (
     t_asymptotic,
 )
 from wkbspec.stokes import classify_crossings
-from wkbspec.threshold import f_theta, f_theta_routes, solve_theta0, verify_threshold_bounds
+from wkbspec.threshold import f_theta, route_equivalence, solve_theta0, verify_threshold_bounds
 
 GAMMA = math.pi / 8.0
 ALPHA_23 = 2.0 / 3.0
@@ -64,15 +64,7 @@ def test_criterion_02_f_at_zero():
 
 def test_criterion_03_route_equivalence():
     t0 = time.perf_counter()
-    worst = 0.0
-    for k in range(100):
-        theta = (math.pi / 6.0 - 1e-9) * k / 99.0
-        routes = f_theta_routes(theta)
-        worst = max(
-            worst,
-            abs(routes["split"] - routes["action"]),
-            abs(routes["split"] - routes["closed"]),
-        )
+    worst = route_equivalence(100)
     elapsed = time.perf_counter() - t0
     ok = worst < 1e-11 and elapsed < 5.0
     _report(3, ok, f"three routes agree to {worst:.2e} on 100 thetas, {elapsed:.2f} s")

@@ -29,6 +29,20 @@ def test_potential_forms():
         PotentialQuadratic.t_form(0.0)
     with pytest.raises(ValueError):
         PotentialQuadratic.z_form(7.0)
+    # one form for both: P = leading (z - t1)(z - t2), P' = leading (2 z - t1 - t2)
+    h = 1e-5
+    for pot in (z, t):
+        t1, t2 = pot.turning_points()
+        for w in (2.0, -0.4 + 1.3j, 0.7 - 2.2j):
+            assert pot(w) == pytest.approx(pot.leading * (w - t1) * (w - t2), rel=1e-15, abs=1e-15)
+            central = (pot(w + h) - pot(w - h)) / (2.0 * h)
+            assert pot.slope_at(w) == pytest.approx(central, rel=1e-9, abs=1e-9)
+
+
+@pytest.mark.parametrize("mu", [math.nan, math.inf, complex(1.0, math.nan), complex(-math.inf, 1.0)])
+def test_non_finite_mu_rejected(mu):
+    with pytest.raises(ValueError, match="mu"):
+        PotentialQuadratic.t_form(mu)
 
 
 # ---------------------------------------------------------------------------
@@ -112,6 +126,11 @@ def test_turning_point_proximity_rejected():
         action_with_phase(pot, Contour([-1.0, 2.0]), 0.0)  # passes through both zeros
     with pytest.raises(TurningPointError):
         action_with_phase(pot, Contour([-1.0 + 1e-12j, 2.0 + 1e-12j]), 0.0)
+    # two faults: the anchor picks no sheet on the first segment, and the
+    # second passes 1e-12 from z = 1; every segment is checked before any
+    # is integrated, so the clearance fault is the one reported
+    with pytest.raises(TurningPointError):
+        action_with_phase(pot, Contour([2.0, 2.5, 0.5 + 1e-12j]), cmath.phase(pot(2.0)) + math.pi)
 
 
 def test_inconsistent_anchor_phase_rejected():

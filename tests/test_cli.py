@@ -204,6 +204,15 @@ def test_stokes_rejects_bad_max_arclen(arclen, capsys):
         assert out == "" and "max_arclen" in err
 
 
+@pytest.mark.parametrize("flag", ["--psi", "--gamma"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_stokes_rejects_non_finite_angles(flag, value, tmp_path, capsys):
+    out_file = tmp_path / "g.svg"
+    code, out, err = run(["stokes", f"{flag}={value}", "--out", str(out_file)], capsys)
+    assert code == 1
+    assert "finite" in err and not out_file.exists()
+
+
 def _scan_thetas(out):
     return [float(l.split(",")[0]) for l in out.splitlines() if l[:1].isdigit()]
 

@@ -139,6 +139,29 @@ def test_real_spectrum_rejects_small_truncation():
         real_spectrum(2.0, 3, X=2.0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_inputs_rejected(bad):
+    with pytest.raises(ValueError, match="alpha"):
+        OperatorSpec(c=1.0, alpha=bad, X=10.0)
+    with pytest.raises(ValueError, match="X"):
+        OperatorSpec(c=1.0, alpha=ALPHA_23, X=bad)
+    for c in (complex(bad, 0.0), complex(1.0, bad), bad):
+        with pytest.raises(ValueError, match="c must be finite"):
+            OperatorSpec(c=c, alpha=ALPHA_23, X=10.0)
+        with pytest.raises(ValueError, match="c must be finite"):
+            OperatorSpec.for_modes(c, ALPHA_23, 3)
+    with pytest.raises(ValueError, match="alpha"):
+        bs_constant(bad)
+    with pytest.raises(ValueError, match="alpha"):
+        t_asymptotic(3, bad)
+    with pytest.raises(ValueError, match="alpha"):
+        real_spectrum(bad, 3)
+    with pytest.raises(ValueError, match="alpha"):
+        default_truncation(bad, 5.0)
+    with pytest.raises(ValueError, match="t_top"):
+        default_truncation(ALPHA_23, bad)
+
+
 def test_spectra_reject_nan_tolerance():
     with pytest.raises(ValueError):
         real_spectrum(2.0, 3, tol=math.nan)

@@ -155,6 +155,17 @@ def test_bad_max_arclen_rejected(max_arclen):
         build_stokes_graph(pot, max_arclen)
 
 
+@pytest.mark.parametrize("sag_tol", [0.0, -1.0, math.nan, math.inf])
+def test_bad_sag_tol_rejected(sag_tol):
+    # 0 made every step 0 (an endless loop), nan and inf dropped out of the
+    # step caps, and a negative value failed inside the loop
+    for pot in (PotentialQuadratic.z_form(0.3), PotentialQuadratic.t_form(1.2 + 0.7j)):
+        with pytest.raises(ValueError, match="sag_tol"):
+            trace_stokes_curve(pot, 0.0, 0, sag_tol=sag_tol)
+        with pytest.raises(ValueError, match="sag_tol"):
+            build_stokes_graph(pot, sag_tol=sag_tol)
+
+
 def test_re_s_conserved_at_every_stored_point():
     # cumulative 4-node Gauss with sign-continued sqrt, written from scratch
     nodes = [-0.861136311594053, -0.339981043584856, 0.339981043584856, 0.861136311594053]

@@ -12,6 +12,7 @@ from wkbspec.threshold import (
     completeness_verdict,
     f_theta,
     f_theta_routes,
+    route_equivalence,
     solve_theta0,
     verify_threshold_bounds,
 )
@@ -150,6 +151,26 @@ def test_verdict_domain():
         completeness_verdict(0.0)
     with pytest.raises(ValueError):
         completeness_verdict(-2.0)
+
+
+@pytest.mark.parametrize("c", [complex(math.nan, 1.0), complex(1.0, math.inf), math.inf, math.nan])
+def test_verdict_rejects_non_finite_c(c):
+    with pytest.raises(ValueError, match="c must be finite"):
+        completeness_verdict(c)
+
+
+def test_route_equivalence_is_the_worst_route_gap():
+    # the sweep shared by `verify` and criterion 3: the worst of both gaps
+    # to the split route, at theta_k = (pi/6 - 1e-9) k/(n - 1)
+    n = 5
+    expected = 0.0
+    for k in range(n):
+        r = f_theta_routes((math.pi / 6.0 - 1e-9) * k / (n - 1))
+        expected = max(expected, abs(r["split"] - r["action"]), abs(r["split"] - r["closed"]))
+    assert route_equivalence(n) == expected
+    for bad in (0, 1):
+        with pytest.raises(ValueError):
+            route_equivalence(bad)
 
 
 def test_all_threshold_checks_pass():
