@@ -126,6 +126,13 @@ def _chord_arg(pot: PotentialQuadratic, a: complex, b: complex, z):
     return total
 
 
+# Near t1, S = q (z - t1) (2/3) 2F1(1, -1/2; 5/2; y) with y = (z - t1)/(z - t2):
+# coefficients d_n = d_{n-1} (n - 3/2)/(n + 3/2) from d_0 = 2/3, highest first;
+# 8 terms leave less than 1e-19 of the sum at |z - t1| < _SERIES_RADIUS |t2 - t1|
+_SERIES_RADIUS = 0.01
+_SERIES = tuple(2.0 / 3.0 * math.prod((j - 1.5) / (j + 1.5) for j in range(1, n + 1)) for n in reversed(range(8)))
+
+
 def _closed_action(pot: PotentialQuadratic, tp: complex):
     """S(z) = int_tp^z sqrt(P) dz in closed form, continued chord by chord.
 
@@ -135,22 +142,36 @@ def _closed_action(pot: PotentialQuadratic, tp: complex):
     at(z0, phase0, log0, z) -> (S, q, arg P, L) at z, with arg P continued
     along the chord from arg P = phase0 at z0 and L from log0 by whole
     multiples of 2 pi i (u + q / sqrt(k) never vanishes: its product with
-    u - q / sqrt(k) is a^2).  From z0 = tp, phase0 is the one-sided limit
+    u - q / sqrt(k) is a^2, and the smaller of the two is taken as a^2 over
+    the larger).  From z0 = tp, phase0 is the one-sided limit
     arg P'(tp) + arg(z - tp) and log0 = 0.
+
+    Within |z - t1| < 0.01 |t2 - t1| the two terms of S cancel to about
+    |z - t1| / |t2 - t1| of their size, so S is summed there from its
+    series about t1 instead, plus c times the whole turns L has made.
     """
     t1, t2 = sorted(pot.turning_points(), key=lambda t: abs(t - tp))
     k = pot.leading
     root_k = cmath.sqrt(k)
     m = 0.5 * (t1 + t2)
-    c = -0.5 * root_k * (0.5 * (t2 - t1)) ** 2
+    a2 = (0.5 * (t2 - t1)) ** 2
+    c = -0.5 * root_k * a2
     base = t1 - m
+    near = _SERIES_RADIUS * abs(t2 - t1)
 
     def at(z0, phase0, log0, z):
         phase = phase0 + _chord_arg(pot, z0, z, z)
-        q = cmath.rect(math.sqrt(abs(k * (z - t1) * (z - t2))), 0.5 * phase)
-        u = z - m
-        lg = cmath.log((u + q / root_k) / base)
-        lg = complex(lg.real, _unwrap(lg.imag, log0.imag))
+        dz1, dz2 = z - t1, z - t2
+        q = cmath.rect(math.sqrt(abs(k * dz1 * dz2)), 0.5 * phase)
+        u, v = z - m, q / root_k
+        w = u + v if (u * v.conjugate()).real >= 0.0 else a2 / (u - v)
+        lg0 = cmath.log(w / base)
+        lg = complex(lg0.real, _unwrap(lg0.imag, log0.imag))
+        if abs(dz1) < near:
+            y, f = dz1 / dz2, 0.0
+            for coeff in _SERIES:
+                f = f * y + coeff
+            return q * dz1 * f + c * (lg - lg0), q, phase, lg
         return 0.5 * u * q + c * lg, q, phase, lg
 
     return at

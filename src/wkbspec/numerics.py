@@ -246,8 +246,10 @@ def muller_many(
     turn = cmath.exp(2j * math.pi / 3)
     pts = np.stack([seeds + h, seeds + h * turn, seeds + h * turn.conjugate()])
     vals = np.asarray(f_many(pts.reshape(-1)), dtype=complex).reshape(3, k)
-    f_scale = np.median(np.abs(vals), axis=0)
-    f_scale = np.where(f_scale > 0, f_scale, 1.0)
+    # the median of each probe triple, as its middle value: np.median imports
+    # numpy.ma on first use; a NaN sorts last and makes the median NaN
+    mags = np.sort(np.abs(vals), axis=0)
+    f_scale = np.where((mags[1] > 0) & ~np.isnan(mags[2]), mags[1], 1.0)
 
     roots = seeds.copy()
     resid = np.full(k, np.inf)

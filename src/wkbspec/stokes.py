@@ -10,7 +10,9 @@ the real parameter s and solves for z by Newton, with no quadrature and no
 accumulated error.  It carries arg P and the branch of the log in S, and
 continues both along each step's chord (arg P by the exact chord rule of
 wkbspec.actions), so every sqrt(P) it uses lies on one sheet.  Escaping
-curves are reported with their exact asymptotic direction.  Whether a
+curves are reported with their exact asymptotic direction.  Only the first
+turning point's three curves are traced: P(t1 + t2 - z) = P(z), so the
+second complex is their point reflection through (t1 + t2)/2.  Whether a
 finite curve joins the turning points (the compound flag) is decided in
 closed form, from Re S at the other turning point.
 
@@ -57,7 +59,7 @@ _NEWTON_MAX = 8
 
 @dataclass(frozen=True)
 class StokesCurve:
-    """One traced Stokes curve."""
+    """One Stokes curve: traced, or the point reflection of a traced one."""
 
     origin: complex
     direction_index: int
@@ -222,20 +224,25 @@ def trace_stokes_curve(
             points.append(other)
             break
 
-    asym = None
-    if terminal == TO_INFINITY:
-        base = math.pi / 4.0 - cmath.phase(pot.leading) / 4.0
-        j = round((cmath.phase(points[-1] - points[-2]) - base) / (0.5 * math.pi))
-        asym = math.remainder(base + 0.5 * math.pi * j, 2.0 * math.pi)
     return StokesCurve(
         origin=tp,
         direction_index=k % 3,
         initial_angle=phi,
         points=tuple(points),
         terminal=terminal,
-        asymptotic_angle=asym,
+        asymptotic_angle=_asymptotic_angle(pot, points) if terminal == TO_INFINITY else None,
         reaches=reaches,
     )
+
+
+def _asymptotic_angle(pot: PotentialQuadratic, points) -> float:
+    """The exact direction pi/4 - arg(k)/4 + j pi/2 nearest the last chord,
+    in (-pi, pi]: a curve along the negative real axis gets pi whichever
+    sign the rounding gives the imaginary part of its last chord."""
+    base = math.pi / 4.0 - cmath.phase(pot.leading) / 4.0
+    j = round((cmath.phase(points[-1] - points[-2]) - base) / (0.5 * math.pi))
+    angle = math.remainder(base + 0.5 * math.pi * j, 2.0 * math.pi)
+    return math.pi if angle == -math.pi else angle
 
 
 # ---------------------------------------------------------------------------
@@ -247,18 +254,39 @@ def build_stokes_graph(
     max_arclen: float = _DEFAULT_MAX_ARCLEN,
     sag_tol: float = 1e-4,
 ) -> StokesGraph:
-    """Trace all six Stokes curves and group them into the two complexes.
+    """Trace the first turning point's three Stokes curves, reflect them
+    into the second complex, and group the six into the two complexes.
 
-    The compound flag is set when a finite Stokes curve joins the turning
-    points, decided in closed form by Re S(t2) = 0 (for the t-form,
-    arg mu = 0 mod pi/2); only then does a traced curve end at the other
-    turning point.
+    P(t1 + t2 - z) = P(z) for P = k (z - t1)(z - t2), so z -> t1 + t2 - z
+    maps the Stokes curves from t1 onto those from t2 (Strebel, Quadratic
+    Differentials, 1984), and the tracer's step caps are invariant under it.
+    The k-th curve from t2 is the image of the t1 curve whose launch angle
+    plus pi is launch_angles(pot, t2)[k]: it keeps that curve's terminal,
+    reaches t1 where it reaches t2, and its end points are the turning
+    points exactly (t1 = 0 in both forms).  The compound flag is set when
+    a finite Stokes curve joins the turning points, decided in closed form
+    by Re S(t2) = 0 (for the t-form, arg mu = 0 mod pi/2); only then does
+    a curve end at the other turning point.
     """
+    t1, t2 = pot.turning_points()
     # trace order is the graph order: the first turning point's curves by
     # increasing launch angle (launch_angles grows with k), then the second's
-    curves = tuple(trace_stokes_curve(pot, tp, k, max_arclen, sag_tol=sag_tol)
-                   for tp in pot.turning_points() for k in range(3))
-    return StokesGraph(pot, curves, (0, 1, 2), (3, 4, 5), _compound(pot))
+    first = [trace_stokes_curve(pot, t1, k, max_arclen, sag_tol=sag_tol) for k in range(3)]
+    second = []
+    for k, phi in enumerate(launch_angles(pot, t2)):
+        partner = first[round((phi - math.pi - first[0].initial_angle) / (2.0 * math.pi / 3.0)) % 3]
+        points = tuple(t1 + t2 - z for z in partner.points)  # t1 = 0: exact at the turning points
+        finite = partner.terminal == TO_TURNING_POINT
+        second.append(StokesCurve(
+            origin=t2,
+            direction_index=k,
+            initial_angle=phi,
+            points=points,
+            terminal=partner.terminal,
+            asymptotic_angle=None if finite else _asymptotic_angle(pot, points),
+            reaches=t1 if finite else None,
+        ))
+    return StokesGraph(pot, tuple(first + second), (0, 1, 2), (3, 4, 5), _compound(pot))
 
 
 # ---------------------------------------------------------------------------

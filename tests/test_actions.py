@@ -243,6 +243,32 @@ def test_long_chords_from_turning_points_match_closed_action():
         assert abs(action_with_phase(pot, Contour([tp, z]), phase0)[0] - s_z) <= 1e-11 * max(1.0, abs(s_z))
 
 
+@pytest.mark.parametrize(
+    "pot",
+    [PotentialQuadratic.z_form(psi) for psi in (0.3, 2.0)]
+    + [PotentialQuadratic.t_form(mu) for mu in (1e4 * cmath.exp(0.3j), -300j)],
+    ids=lambda pot: f"{pot.kind}-{pot.psi if pot.kind == 'z' else pot.mu}",
+)
+def test_closed_action_near_and_far_from_the_turning_point(pot):
+    # next to tp the two terms of the closed form are |t2 - t1| / |z - tp|
+    # times S and cancel (1.7e-9 relative at |mu| = 1e4); far out
+    # u + q / sqrt(k) cancels, to exactly 0 on some of these chords.  The
+    # near points sit by the turning point 0 only: next to t2 = mu, z - mu
+    # keeps just the absolute precision of mu
+    t1, t2 = pot.turning_points()
+    scale = abs(t2 - t1)
+    far = [r * max(1.0, scale) for r in (1e8, 1e10)]
+    for tp, radii in ((t1, [r * scale for r in (1e-5, 3e-3, 0.05)] + far), (t2, far)):
+        at = _closed_action(pot, tp)
+        for r in radii:
+            for j in range(8):
+                z = tp + r * cmath.exp(1j * (0.1 + j * math.pi / 4.0))
+                phase0 = cmath.phase(pot.slope_at(tp)) + cmath.phase(z - tp)
+                s_z = at(tp, phase0, 0j, z)[0]
+                ref = action_with_phase(pot, Contour([tp, z]), phase0)[0]
+                assert abs(s_z - ref) <= 1e-11 * max(1.0, abs(ref)), (tp, z, s_z, ref)
+
+
 def test_degenerate_contour_rejected():
     # a zero-length path cannot be built; the empty integral is the caller's 0
     with pytest.raises(ValueError):

@@ -157,6 +157,18 @@ def test_stokes_near_axis_mu_is_not_compound(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "argv", [["--t-form=1000,0.3"], ["--t-form=100,0"], ["--psi", "0.3", "--max-arclen", "1e8"]],
+    ids=["mu-1000", "mu-100", "arclen-1e8"],
+)
+def test_stokes_far_apart_and_far_out(argv, tmp_path):
+    # the closed-form action lost S to cancellation next to the launch when
+    # the turning points are far apart, and took the log of 0 at |z| ~ 3e7
+    out = tmp_path / "graph.json"
+    assert main(["stokes", *argv, "--format", "json", "--out", str(out)]) == 0
+    assert len(json.loads(out.read_text())["curves"]) == 6
+
+
+@pytest.mark.parametrize(
     "argv, ref_argv",
     [
         (["--psi=-1e-20"], ["--psi=0"]),

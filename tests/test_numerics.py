@@ -321,6 +321,26 @@ def test_solvers_reject_nan_tolerance():
         refine_brackets(lambda x: x * x - 2.0, [1.0], [2.0], [-1.0], [2.0], math.nan)
 
 
+def test_muller_probe_scale_is_the_median():
+    # the residual scale of each lane is the median |f| of its probe triple,
+    # 1.0 where that is 0 or NaN; taken without np.median, it must match it
+    # bit for bit: every lane converges on the first step to |f| = 1e-20,
+    # so its scaled residual is 1e-20 / scale
+    rng = np.random.default_rng(7)
+    mags = 10.0 ** rng.uniform(-8, 8, size=(3, 60))
+    mags[:, :6] = np.transpose([[0, 0, 0], [0, 0, 1], [0, 2, 3], [np.nan, 1, 2], [np.nan] * 3, [np.inf, 1, 2]])
+    probe = mags * np.exp(1j * rng.uniform(-np.pi, np.pi, size=mags.shape))
+    median = np.median(np.abs(probe), axis=0)
+    calls = []
+
+    def f_many(z):
+        calls.append(len(z))
+        return probe.reshape(-1).copy() if len(calls) == 1 else np.full(len(z), 1e-20)
+
+    _, resid = muller_many(f_many, np.arange(60.0), 1e-6)
+    assert np.array_equal(resid, 1e-20 / np.where(median > 0, median, 1.0))
+
+
 def test_muller_many_batch_matches_single_lanes():
     # lanes converge independently: the batch gives each lane's scalar answer
     f_many = lambda z: np.sin(z) * (z - 0.5j)

@@ -135,15 +135,80 @@ def test_re_s_conserved_along_curves():
     ids=lambda pot: f"{pot.kind}-{pot.psi if pot.kind == 'z' else pot.mu}",
 )
 def test_re_s_vanishes_at_every_vertex(pot):
-    # graded Gauss action along each polyline prefix, chord by chord
     for curve in build_stokes_graph(pot).curves:
-        pts = curve.points
-        phase = cmath.phase(pot.slope_at(pts[0])) + cmath.phase(pts[1] - pts[0])
-        s_val = 0.0j
-        for a, b in zip(pts[:-1], pts[1:]):
-            part, phase = action_with_phase(pot, Contour([a, b]), phase)
-            s_val += part
-            assert abs(s_val.real) <= 1e-10, f"Re S = {s_val.real:.2e} at {b} on the curve from {pts[0]}"
+        for b, s_val in _vertex_actions(pot, curve.points):
+            assert abs(s_val.real) <= 1e-10, f"Re S = {s_val.real:.2e} at {b} on the curve from {curve.origin}"
+
+
+def _vertex_actions(pot, pts):
+    """(vertex, S there) along the polyline from its turning point pts[0]:
+    graded Gauss action along each prefix, chord by chord."""
+    phase = cmath.phase(pot.slope_at(pts[0])) + cmath.phase(pts[1] - pts[0])
+    s_val = 0.0j
+    for a, b in zip(pts[:-1], pts[1:]):
+        part, phase = action_with_phase(pot, Contour([a, b]), phase)
+        s_val += part
+        yield b, s_val
+
+
+@pytest.mark.parametrize("modulus", [100.0, 1e3, 1e4])
+@pytest.mark.parametrize("arg", [0.0, 0.3, 2.0])
+def test_far_apart_turning_points_trace(modulus, arg):
+    # next to the launch the two terms of the closed-form action are about
+    # |t2 - t1| / |z - t1| times S and cancelled; Newton failed there from
+    # |mu| ~ 60 on, so the action is summed as a series about t1
+    pot = PotentialQuadratic.t_form(modulus * cmath.exp(1j * arg))
+    graph = build_stokes_graph(pot)
+    assert graph.compound == (arg == 0.0)
+    assert sum(c.terminal == "turning_point" for c in graph.curves) == (2 if graph.compound else 0)
+    longest = max((graph.curves[i] for i in graph.complex1), key=lambda c: len(c.points))
+    for b, s_val in _vertex_actions(pot, longest.points):
+        assert abs(s_val.real) <= 1e-10 * max(1.0, abs(s_val)), f"Re S = {s_val.real:.2e} at {b}"
+
+
+def test_re_s_conserved_far_out():
+    # at |z| ~ 3e7, u + q / sqrt(k) in the closed-form action cancelled to
+    # exactly 0 and its log raised; it is now taken as a^2 / (u - q / sqrt(k))
+    pot = PotentialQuadratic.z_form(0.3)
+    graph = build_stokes_graph(pot, max_arclen=1e8)
+    for curve in graph.curves[:3]:
+        assert curve.terminal == "infinity" and abs(curve.points[-1]) > 5e7
+        for b, s_val in _vertex_actions(pot, curve.points):
+            assert abs(s_val.real) <= 1e-10 * max(1.0, abs(s_val)), f"Re S = {s_val.real:.2e} at {b}"
+
+
+def test_asymptotic_angle_along_the_negative_axis_is_pi():
+    # psi = pi/4 + m pi/2 all give P = -z (z - 1), with one curve from 0
+    # along the negative real axis; the sign of the rounding in its last
+    # chord used to report -pi for three of the four
+    for m in range(4):
+        graph = build_stokes_graph(PotentialQuadratic.z_form(math.pi / 4.0 + m * math.pi / 2.0))
+        assert [c.asymptotic_angle for c in graph.curves].count(math.pi) == 1
+        assert -math.pi not in [c.asymptotic_angle for c in graph.curves]
+
+
+_REFLECTED = (
+    [PotentialQuadratic.z_form(j * math.pi / 16.0) for j in range(32)]  # every multiple of pi/8 is compound
+    + [PotentialQuadratic.z_form(psi) for psi in (0.3, 1.1, 2.9, 6.2)]
+    + [PotentialQuadratic.t_form(mu) for mu in (0.725, -0.725, 0.62j, -0.925j, 20.0, 13j, 1e-6, 0.001j)]
+    + [PotentialQuadratic.t_form(mu) for mu in (1.2 + 0.7j, 0.809 + 0.588j, -3.0 - 0.4j, 0.05 - 0.01j, 4.0 - 2.5j)]
+)
+
+
+@pytest.mark.parametrize("pot", _REFLECTED, ids=lambda pot: f"{pot.kind}-{pot.psi if pot.kind == 'z' else pot.mu}")
+def test_second_complex_is_the_reflection_of_the_first(pot):
+    # the graph reflects the first complex through (t1 + t2)/2; an
+    # independent trace from t2 must give the same curves
+    graph = build_stokes_graph(pot)
+    t1, t2 = pot.turning_points()
+    for k, i in enumerate(graph.complex2):
+        got, ref = graph.curves[i], trace_stokes_curve(pot, t2, k)
+        fields = ("origin", "direction_index", "initial_angle", "terminal", "asymptotic_angle", "reaches")
+        assert [getattr(got, f) for f in fields] == [getattr(ref, f) for f in fields]
+        assert len(got.points) == len(ref.points)
+        assert got.points[0] == t2 and (got.reaches is None or got.points[-1] == t1)
+        gap = np.max(np.abs(np.subtract(got.points, ref.points)))
+        assert gap <= 1e-6 * max(1.0, abs(t2 - t1)), (k, gap)
 
 
 @pytest.mark.parametrize("max_arclen", [0.0, -1.0, math.nan, math.inf])
