@@ -245,7 +245,8 @@ def muller_many(
     h = 1e-3 * np.maximum(1.0, np.abs(seeds))
     turn = cmath.exp(2j * math.pi / 3)
     pts = np.stack([seeds + h, seeds + h * turn, seeds + h * turn.conjugate()])
-    vals = np.asarray(f_many(pts.reshape(-1)), dtype=complex).reshape(3, k)
+    # a copy: the rounds below write into vals, and f_many may keep what it returns
+    vals = np.array(f_many(pts.reshape(-1)), dtype=complex).reshape(3, k)
     # the median of each probe triple, as its middle value: np.median imports
     # numpy.ma on first use; a NaN sorts last and makes the median NaN
     mags = np.sort(np.abs(vals), axis=0)

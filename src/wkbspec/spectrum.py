@@ -18,7 +18,9 @@ lambda with exactly the eigenvalues as zeros.  The reference spectrum is
 bracketed between asymptotic-law points, and each bracket is certified by
 a Sturm oscillation count: the number of zeros of the decaying solution
 y(.; t) on (0, X), counted as sign changes at the mesh nodes, is the
-number of eigenvalues below t.  Every chain of matrices comes from one
+number of eigenvalues below t; the roots are refined on the Prufer sine of
+(y, y') at 0, which has the sign of y(0; t) but no spread of magnitudes.
+Every chain of matrices comes from one
 generator of blocks (_blocks): the proxy multiplies each block pairwise,
 and the count, the Green-kernel pair and the eigenfunctions take every
 node value from a prefix product over the same blocks (_node_values); the
@@ -358,15 +360,16 @@ def _blocks(c, alpha: float, path: np.ndarray, lam, scale=None):
 
 def _shoot_many(
     c: complex, alpha: float, lams: np.ndarray, X: float, lam_top: float = 0.0
-) -> np.ndarray:
-    """Renormalized y(0; lambda) for a batch of spectral parameters.
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Renormalized (y(0; lambda), y'(0; lambda)) for a batch of spectral parameters.
 
     Chains Magnus transfer matrices from the WKB seed at X down to 0 on the
     mesh of _mesh_size(c, alpha, X, lam_top) intervals, which the batch
     does not change.  Each interval carries its _decay factor, which
     cancels the dominant WKB growth so amplitudes stay in range while the
-    proxy remains entire in lambda.  The matrices of each block of _blocks
-    are multiplied pairwise in log depth, one level replacing the last.
+    proxy y(0) remains entire in lambda.  The matrices of each block of
+    _blocks are multiplied pairwise in log depth, one level replacing the
+    last.  Both values pass _guard.
     """
     c = complex(c)
     lams = np.asarray(lams).reshape(-1)
@@ -379,7 +382,7 @@ def _shoot_many(
             m = _pair_products(m)
         a, b, cc, d = (e[0] for e in m)
         y, yp = a * y + b * yp, cc * y + d * yp
-    return _guard(y).astype(complex)
+    return _guard(y).astype(complex), _guard(yp).astype(complex)
 
 
 def _pair_products(m):
@@ -438,15 +441,41 @@ def spectral_det(spec: OperatorSpec, lam: complex) -> complex:
         raise ValueError(
             f"truncation X={spec.X:.3f} does not clear the turning point {turning:.3f}"
         )
-    return complex(_shoot_many(spec.c, spec.alpha, np.array([lam]), spec.X, abs(lam))[0])
+    return complex(_shoot_many(spec.c, spec.alpha, np.array([lam]), spec.X, abs(lam))[0][0])
 
 
 # ---------------------------------------------------------------------------
 # real reference spectrum (c = 1)
 # ---------------------------------------------------------------------------
 
+def _prufer_sine(t: np.ndarray, y: np.ndarray, yp: np.ndarray) -> np.ndarray:
+    """sin theta = sqrt(t) y / hypot(sqrt(t) y, y'), the modified Prufer sine.
+
+    theta is the Prufer angle of (y, y') with scale sqrt(t), the
+    wavenumber where x^a vanishes (Prufer, Math. Ann. 95, 1926; Pryce,
+    Numerical Solution of Sturm-Liouville Problems, 1993).  It has the sign
+    of y, so its zeros in t are those of y, and a positive factor on
+    (y, y') leaves it unchanged.  At x = 0 and c = 1, theta is monotone in
+    t and sweeps about pi between consecutive asymptotic-law points, where
+    y itself changes size by orders of magnitude.  Raises BracketError when
+    the radius hypot(sqrt(t) y, y') is NaN or below the smallest normal
+    float: the pair has underflowed and its sign no longer follows t.
+    """
+    ky = np.sqrt(t) * y
+    radius = np.hypot(ky, yp)
+    lost = np.flatnonzero(~(radius >= np.finfo(float).tiny))
+    if lost.size:
+        j = int(lost[0])
+        raise BracketError(
+            f"(y, y')(0; t) at t = {float(t[j])!r} underflows: its radius "
+            f"{float(radius[j]):.3g} is below the smallest normal float, so its sign is undefined"
+        )
+    return ky / radius
+
+
 def _oscillation_count(alpha: float, ts: np.ndarray, X: float) -> Tuple[np.ndarray, np.ndarray]:
-    """Zeros of the decaying solution y(.; t) on (0, X) at c = 1, and y(0; t).
+    """Zeros of the decaying solution y(.; t) on (0, X) at c = 1, and its
+    Prufer sine at 0 (_prufer_sine).
 
     The Sturm oscillation theorem makes the count the number of eigenvalues
     below t.  y is the shooting solution of _shoot_many (WKB seed at X, the
@@ -458,8 +487,9 @@ def _oscillation_count(alpha: float, ts: np.ndarray, X: float) -> Tuple[np.ndarr
     node count is exact; the count asks for max(h) sqrt(t) < 2, which
     leaves the discrete node values a margin.  _mesh_size keeps that bound
     below 2/3 up to the window top of X, and below 1 at every point of
-    real_spectrum.  Raises BracketError when the bound fails or a node
-    value is exactly 0, and OverflowGuardError when one is not finite.
+    real_spectrum.  Raises BracketError when the bound fails, a node
+    value is exactly 0 or (y, y') underflows at 0, and OverflowGuardError
+    when a node value is not finite.
     """
     ts = np.asarray(ts, dtype=float)
     xs = _mesh(X, _mesh_size(1.0, alpha, X))
@@ -470,7 +500,7 @@ def _oscillation_count(alpha: float, ts: np.ndarray, X: float) -> Tuple[np.ndarr
         )
     counts = np.zeros(ts.shape, dtype=int)
     seed = _wkb_seed(1.0, alpha, X)
-    for y, _yp in _node_values(1.0, alpha, xs, ts, *seed, _decay(1.0, alpha, xs)):
+    for y, yp in _node_values(1.0, alpha, xs, ts, *seed, _decay(1.0, alpha, xs)):
         _guard(y)
         zero = np.flatnonzero(np.any(y == 0.0, axis=0))
         if zero.size:
@@ -479,7 +509,7 @@ def _oscillation_count(alpha: float, ts: np.ndarray, X: float) -> Tuple[np.ndarr
                 f"(the scaled amplitude underflows on the truncation X = {X!r})"
             )
         counts += np.count_nonzero(np.signbit(y[1:]) != np.signbit(y[:-1]), axis=0)
-    return counts, y[-1]
+    return counts, _prufer_sine(ts, y[-1], _guard(yp[-1]))
 
 
 def real_spectrum(
@@ -497,11 +527,14 @@ def real_spectrum(
     k - 1/2 zeros on (0, X), so [T_{k-1/2}, T_{k+1/2}] holds t_k and no other
     eigenvalue.  A count that disagrees raises BracketError, naming the
     first point.  The brackets are refined by Chandrupatla's interpolation
-    with a bisection fallback (refine_brackets); a tol below the float
-    spacing at the top bracket end raises ValueError before the first
-    round.  Results are
-    memoized per (alpha, n_max, X, tol); everything involved is
-    deterministic.
+    with a bisection fallback (refine_brackets) on the Prufer sine of
+    (y, y') at 0 (_prufer_sine), which has the zeros of y(0; t) but is
+    close to linear across a bracket, so 2-8 rounds suffice where y(0; t)
+    itself takes 9-13.  Where (y, y') underflows at 0 (beyond n_max = 21 at
+    alpha = 0.2, or 90 at alpha = 2/3), BracketError names the underflow;
+    a tol below the float spacing at the top bracket end raises
+    ValueError before the first round.  Results are memoized per
+    (alpha, n_max, X, tol); everything involved is deterministic.
     """
     if n_max < 1:
         raise ValueError("n_max must be positive")
@@ -524,7 +557,7 @@ def _real_spectrum_cached(
     ts = ((np.arange(n_max + 1) + 0.25) * (math.pi / bs_constant(alpha))) ** (
         2.0 * alpha / (alpha + 2.0)
     )
-    counts, vals = _oscillation_count(alpha, ts, X)
+    counts, sines = _oscillation_count(alpha, ts, X)
     bad = np.flatnonzero(counts != np.arange(n_max + 1))
     if bad.size:
         j = int(bad[0])
@@ -532,9 +565,12 @@ def _real_spectrum_cached(
             f"y(.; t) has {counts[j]} zeros at t = {float(ts[j])!r} (k = {j + 0.5}), need {j}: "
             f"the asymptotic law does not separate the eigenvalues there, or X = {X!r} is too short"
         )
-    lo, hi = refine_brackets(
-        lambda t: _shoot_many(1.0, alpha, t, X).real, ts[:-1], ts[1:], vals[:-1], vals[1:], tol
-    )
+
+    def prufer_sine(t):
+        y, yp = _shoot_many(1.0, alpha, t, X)
+        return _prufer_sine(t, y.real, yp.real)
+
+    lo, hi = refine_brackets(prufer_sine, ts[:-1], ts[1:], sines[:-1], sines[1:], tol)
     return tuple(float(r) for r in 0.5 * (lo + hi))
 
 
@@ -576,7 +612,7 @@ def complex_spectrum(spec: OperatorSpec, n_max: int, tol: float = 1e-9) -> Spect
     phi = (min(max(arg, -1.0), 1.0) - arg) / (alpha + 2.0)
     c_ray, lam_turn = spec.c * cmath.exp(1j * (alpha + 2.0) * phi), cmath.exp(2j * phi)
     roots, resid = muller_many(
-        lambda lams: _shoot_many(c_ray, alpha, lams * lam_turn, spec.X), seeds, tol
+        lambda lams: _shoot_many(c_ray, alpha, lams * lam_turn, spec.X)[0], seeds, tol
     )
 
     # scaling-law verification against the real reference spectrum

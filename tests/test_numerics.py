@@ -351,3 +351,18 @@ def test_muller_many_batch_matches_single_lanes():
     for seed, root in zip(seeds, roots):
         single, _ = muller_many(f_many, [seed], 1e-12)
         assert abs(single[0] - root) < 1e-12
+
+
+def test_muller_leaves_the_values_of_f_many_alone():
+    # f_many may return a view of an array it keeps; the probe values are
+    # updated every round, and that must happen in a copy
+    kept = []
+
+    def f_many(z):
+        values = np.sin(z) * (z - 0.5j)
+        kept.append((values, values.copy()))
+        return values[:]
+
+    roots, _ = muller_many(f_many, [3.0, 0.4j], 1e-12)
+    assert_allclose(roots, [math.pi, 0.5j], atol=1e-12)
+    assert len(kept) > 2 and all(np.array_equal(values, copy) for values, copy in kept)

@@ -29,6 +29,7 @@ from wkbspec.spectrum import (
     _mesh_size,
     _mode_window,
     _oscillation_count,
+    _prufer_sine,
     _shoot_many,
 )
 
@@ -250,13 +251,79 @@ def test_oscillation_count_around_each_eigenvalue(alpha, n):
 
 
 def test_oscillation_count_returns_the_proxy():
+    # the proxy refined in real_spectrum: the Prufer sine of the shot pair at 0
     for alpha in (2.0, ALPHA_23, 0.5):
         # the asymptotic-law points T_{1/2}, T_{3/2}, T_{5/2}; 1, 5, 9 at alpha 2
         ts = ((np.arange(3) + 0.25) * (math.pi / bs_constant(alpha))) ** (2.0 * alpha / (alpha + 2.0))
         X = default_truncation(alpha, 10.0)
-        counts, y0 = _oscillation_count(alpha, ts, X)
+        counts, sines = _oscillation_count(alpha, ts, X)
         assert counts.tolist() == [0, 1, 2]
-        assert_allclose(y0, _shoot_many(1.0, alpha, ts, X).real, rtol=1e-10)
+        y, yp = _shoot_many(1.0, alpha, ts, X)
+        assert_allclose(sines, _prufer_sine(ts, y.real, yp.real), rtol=1e-10)
+
+
+def test_prufer_sine_keeps_the_sign_of_y():
+    rng = np.random.default_rng(3)
+    t = 10.0 ** rng.uniform(-2, 3, size=200)
+    y = rng.standard_normal(200) * 10.0 ** rng.uniform(-150, 150, size=200)
+    yp = rng.standard_normal(200) * 10.0 ** rng.uniform(-150, 150, size=200)
+    y[:6], yp[:6] = [0.0, -0.0, 1e-300, -1e-300, 1e300, -1e300], [1.0, -1.0, 1e-10, 1e-10, 1e-300, 1.0]
+    s = _prufer_sine(t, y, yp)
+    assert np.array_equal(np.sign(s), np.sign(y))
+    assert np.all(np.abs(s) <= 1.0)
+
+
+@pytest.mark.parametrize("factor", [1e-200, 1e200])
+def test_prufer_sine_ignores_a_positive_factor(factor):
+    # the per-interval factors of the shoot drop out of the refined proxy
+    rng = np.random.default_rng(4)
+    t = 10.0 ** rng.uniform(-2, 3, size=50)
+    y, yp = rng.standard_normal(50), rng.standard_normal(50)
+    assert_allclose(_prufer_sine(t, factor * y, factor * yp), _prufer_sine(t, y, yp), rtol=4e-16, atol=0)
+
+
+def test_prufer_sine_refuses_an_underflowed_pair():
+    # 0/0 would be NaN, which refine_brackets would quietly put on one side
+    with pytest.raises(BracketError, match=r"t = 2\.0 underflows"):
+        _prufer_sine(np.array([1.0, 2.0]), np.array([1.0, 0.0]), np.array([0.0, 0.0]))
+    with pytest.raises(BracketError, match="underflows"):
+        _prufer_sine(np.array([1.0]), np.array([1e-310]), np.array([-1e-309]))
+    with pytest.raises(BracketError, match="underflows"):
+        _prufer_sine(np.array([1.0]), np.array([np.nan]), np.array([1.0]))
+
+
+@pytest.mark.parametrize("alpha, n, most", [(2.0, 10, 3), (ALPHA_23, 40, 9), (1.0, 100, 8)])
+def test_real_spectrum_refinement_rounds(monkeypatch, alpha, n, most):
+    # on y(0; t) itself, whose size changes by orders of magnitude across
+    # each bracket, these take 11, 13 and 13 rounds
+    import wkbspec.spectrum as spectrum
+
+    rounds = []
+    refine = spectrum.refine_brackets
+
+    def counted(f_many, *args):
+        return refine(lambda t: rounds.append(len(t)) or f_many(t), *args)
+
+    monkeypatch.setattr(spectrum, "refine_brackets", counted)
+    spectrum._real_spectrum_cached.cache_clear()
+    real_spectrum(alpha, n)
+    spectrum._real_spectrum_cached.cache_clear()
+    assert rounds[0] == n and len(rounds) <= most
+
+
+@pytest.mark.parametrize("alpha, n", [(0.2, 22), (ALPHA_23, 93)])
+def test_real_spectrum_refuses_an_underflowed_pair(alpha, n):
+    # (y, y') is subnormal at 0 near the top eigenvalue: y(0; t) is exactly
+    # 0 over 2e-8 around t_93 at alpha 2/3, and a root of y(0; t) near t_22
+    # at alpha 0.2 moves 1.8e-8 with a 5 % longer X
+    with pytest.raises(BracketError, match="underflows"):
+        real_spectrum(alpha, n)
+
+
+@pytest.mark.parametrize("alpha, n, top", [(0.2, 21, 2.561683078021068), (ALPHA_23, 90, 21.878530643862444)])
+def test_real_spectrum_below_the_underflow(alpha, n, top):
+    # the highest modes that still solve; top is t_n as refined on y(0; t)
+    assert abs(real_spectrum(alpha, n)[-1] - top) < 1e-10
 
 
 def test_oscillation_count_rejects_coarse_mesh():
@@ -291,8 +358,8 @@ def test_real_spectrum_roots_are_sign_changes_of_the_proxy():
     # two values underflows to 0
     ts = np.array(real_spectrum(ALPHA_23, 60))
     X = default_truncation(ALPHA_23, _mode_window(ALPHA_23, 60)[0])
-    lo = _shoot_many(1.0, ALPHA_23, ts * (1.0 - 1e-9), X).real
-    hi = _shoot_many(1.0, ALPHA_23, ts * (1.0 + 1e-9), X).real
+    lo = _shoot_many(1.0, ALPHA_23, ts * (1.0 - 1e-9), X)[0].real
+    hi = _shoot_many(1.0, ALPHA_23, ts * (1.0 + 1e-9), X)[0].real
     assert np.all(np.sign(lo) * np.sign(hi) < 0)
 
 
@@ -351,8 +418,8 @@ def test_shoot_does_not_depend_on_the_batch(c):
         lams = lams.real
     X = OperatorSpec.for_modes(c, ALPHA_23, 40).X
     for lanes in (1, 9, 40):
-        batch = _shoot_many(c, ALPHA_23, lams[:lanes], X)
-        single = np.array([_shoot_many(c, ALPHA_23, lams[k : k + 1], X)[0] for k in range(lanes)])
+        batch = _shoot_many(c, ALPHA_23, lams[:lanes], X)[0]
+        single = np.array([_shoot_many(c, ALPHA_23, lams[k : k + 1], X)[0][0] for k in range(lanes)])
         assert np.max(np.abs(batch - single)) <= 1e-12 * np.max(np.abs(batch))
 
 
@@ -408,7 +475,7 @@ def test_rotated_and_unrotated_proxies_share_zeros(arg):
     for target in (arg, math.copysign(1.0, arg), math.copysign(0.5, arg)):
         phi = (target - arg) / (ALPHA_23 + 2.0)
         c_ray, turn = c * cmath.exp(1j * (ALPHA_23 + 2.0) * phi), cmath.exp(2j * phi)
-        roots, _ = muller_many(lambda lams: _shoot_many(c_ray, ALPHA_23, lams * turn, X), seeds, 1e-9)
+        roots, _ = muller_many(lambda lams: _shoot_many(c_ray, ALPHA_23, lams * turn, X)[0], seeds, 1e-9)
         zeros.append(roots)
     assert_allclose(zeros[1], zeros[0], rtol=1e-6)
     assert_allclose(zeros[2], zeros[0], rtol=1e-6)
