@@ -21,12 +21,14 @@ y(.; t) on (0, X), counted as sign changes at the mesh nodes, is the
 number of eigenvalues below t; the roots are refined on the Prufer sine of
 (y, y') at 0, which has the sign of y(0; t) but no spread of magnitudes.
 Every chain of matrices comes from one
-generator of blocks (_blocks): the proxy multiplies each block pairwise,
-and the count, the Green-kernel pair and the eigenfunctions take every
-node value from a prefix product over the same blocks (_node_values); the
-pair and the eigenfunctions run on the mesh joined with the caller's
-grid.  Complex spectra are polished on a rotated ray, which keeps the
-proxy's zeros accurate over the whole sector |arg c| < pi.
+generator of blocks (_blocks), which on a shooting mesh slices the
+lambda-free terms of the step, built once per mesh (_shooting_mesh): the
+proxy multiplies each block pairwise, and the count, the Green-kernel
+pair and the eigenfunctions take every node value from a prefix product
+over the same blocks (_node_values); the pair and the eigenfunctions run
+on the mesh joined with the caller's grid.  Complex spectra are polished
+from the scaled reference on a rotated ray, which keeps the proxy's zeros
+accurate over the whole sector |arg c| < pi.
 """
 
 from __future__ import annotations
@@ -248,8 +250,10 @@ def _cosh_sinhc(z):
     return 1.0 + coshm1, sinhc
 
 
-def _magnus(c, alpha: float, x0, x1, lam, scale=1.0):
-    """Magnus-6 transfer matrices of y'' = (c x^a - lam) y from x0 to x1.
+def _magnus_terms(c, alpha: float, x0, x1):
+    """The lambda-free terms of the Magnus-6 step of y'' = (c x^a - lam) y
+    from x0 to x1 (_magnus): (e, w0, w1, f0, f1, h, c q2), with
+    w = w0 + w1 p and f = f0 + f1 p for p = h (c q2 - lam).
 
     Three-point Gauss Magnus step (Blanes, Casas & Ros, BIT 40, 2000): with
     q1, q2, q3 the potential c x^a - lam at the nodes 1/2 -+ sqrt15/10, 1/2
@@ -262,11 +266,8 @@ def _magnus(c, alpha: float, x0, x1, lam, scale=1.0):
     coefficients of F in a2 and a3, u = h r and v = h s (lam cancels from
     r, s, u and v), Omega = [[w, e], [f, -w]] with
     e = h (1 + (u^2 - 20 v)/3600),  w = u (v - 600 + 40 h p)/7200,
-    f = p (1 + (u^2 + 20 v)/3600) + s/12 + (s v - 30 u r)/3600,
-    and exp(Omega) = cosh(mu) I + sinh(mu)/mu Omega, mu^2 = w^2 + e f.
-    x0, x1 and lam broadcast against each other; scale multiplies every
-    matrix.  Returns the entries (m11, m12, m21, m22) mapping (y, y') at x0
-    to (y, y') at x1; each step has determinant scale^2.
+    f = p (1 + (u^2 + 20 v)/3600) + s/12 + (s v - 30 u r)/3600.
+    x0 and x1 broadcast against each other, and so does every term.
     """
     h = x1 - x0
     mid = 0.5 * (x0 + x1)
@@ -277,10 +278,27 @@ def _magnus(c, alpha: float, x0, x1, lam, scale=1.0):
     s = (10.0 / 3.0) * h * (cq3 - 2.0 * cq2 + cq1)
     u, v = h * r, h * s
     e = h * (1.0 + (u * u - 20.0 * v) / 3600.0)
-    # w and f are affine in p, the only factor that varies with lam
+    w0, w1 = u * (v - 600.0) / 7200.0, h * u / 180.0
+    f0 = s / 12.0 + (s * v - 30.0 * u * r) / 3600.0
+    f1 = 1.0 + (u * u + 20.0 * v) / 3600.0
+    return e, w0, w1, f0, f1, h, cq2
+
+
+def _magnus(terms, lam, scale=1.0):
+    """Magnus-6 transfer matrices of y'' = (c x^a - lam) y from the
+    _magnus_terms of their intervals.
+
+    w and f are affine in p = h (c q2 - lam), the only factor that varies
+    with lam, and exp(Omega) = cosh(mu) I + sinh(mu)/mu Omega with
+    mu^2 = w^2 + e f.  The terms and lam broadcast against each other;
+    scale multiplies every matrix.  Returns the entries (m11, m12, m21, m22)
+    mapping (y, y') at x0 to (y, y') at x1; each step has determinant
+    scale^2.
+    """
+    e, w0, w1, f0, f1, h, cq2 = terms
     p = h * (cq2 - lam)
-    w = u * (v - 600.0) / 7200.0 + (h * u / 180.0) * p
-    f = (s / 12.0 + (s * v - 30.0 * u * r) / 3600.0) + (1.0 + (u * u + 20.0 * v) / 3600.0) * p
+    w = w0 + w1 * p
+    f = f0 + f1 * p
     cosh, sinhc = _cosh_sinhc(w * w + e * f)
     cosh *= scale
     sinhc *= scale
@@ -341,21 +359,45 @@ def _wkb_seed(c, alpha: float, X: float):
     return X ** (-0.25 * alpha), -(c**0.5) * X ** (0.25 * alpha)
 
 
-def _blocks(c, alpha: float, path: np.ndarray, lam, scale=None):
+def _blocks(c, alpha: float, path: np.ndarray, lam, scale=None, terms=None):
     """Magnus matrices of y'' = (c x^a - lam) y on the intervals of path, by blocks.
 
     lam is a scalar or a 1-d array of spectral parameters, the trailing
     axis of every matrix entry; scale, when given, holds one factor per
-    interval of path that multiplies its matrix.  A block spans as many
-    intervals as fit _BLOCK_BYTES in each entry array, and at least 8;
-    consecutive blocks share their end node.
+    interval of path that multiplies its matrix.  terms, when given, holds
+    the _magnus_terms of every interval of path (a shooting mesh's come from
+    _shooting_mesh), and each block takes its slice of them; otherwise each
+    block computes its own.  A block spans as many intervals as fit
+    _BLOCK_BYTES in each entry array, and at least 8; consecutive blocks
+    share their end node.
     """
     lane = (slice(None),) + (None,) * np.ndim(lam)  # intervals down, lambdas across
     rows = max(8, _BLOCK_BYTES // (np.result_type(c, lam).itemsize * max(1, np.size(lam))))
     for i in range(0, len(path) - 1, rows):
-        seg = path[i : i + rows + 1]
+        if terms is None:
+            seg = path[i : i + rows + 1]
+            block = _magnus_terms(c, alpha, seg[:-1], seg[1:])
+        else:
+            block = (t[i : i + rows] for t in terms)
         block_scale = 1.0 if scale is None else scale[i : i + rows][lane]
-        yield _magnus(c, alpha, seg[:-1][lane], seg[1:][lane], lam, block_scale)
+        yield _magnus(tuple(t[lane] for t in block), lam, block_scale)
+
+
+@lru_cache(maxsize=8, typed=True)
+def _shooting_mesh(c, alpha: float, X: float, n: int):
+    """(xs, terms, decay) of a shooting mesh: the nodes _mesh(X, n), the
+    _magnus_terms of its intervals and their _decay factors.
+
+    The terms do not depend on lambda, so every shoot and count on one mesh
+    shares them.  The arrays are read-only.  typed: c = 1.0 and 1 + 0j are
+    equal and hash alike, but a real shoot needs real terms.
+    """
+    xs = _mesh(X, n)
+    terms = _magnus_terms(c, alpha, xs[:-1], xs[1:])
+    decay = _decay(c, alpha, xs)
+    for a in (xs, decay, *terms):
+        a.flags.writeable = False
+    return xs, terms, decay
 
 
 def _shoot_many(
@@ -375,9 +417,9 @@ def _shoot_many(
     lams = np.asarray(lams).reshape(-1)
     if c.imag == 0.0 and np.isrealobj(lams):
         c = c.real  # real coupling and parameters: real arithmetic throughout
-    xs = _mesh(X, _mesh_size(c, alpha, X, lam_top))
+    xs, terms, decay = _shooting_mesh(c, alpha, X, _mesh_size(c, alpha, X, lam_top))
     y, yp = _wkb_seed(c, alpha, X)
-    for m in _blocks(c, alpha, xs, lams, _decay(c, alpha, xs)):
+    for m in _blocks(c, alpha, xs, lams, decay, terms):
         while len(m[0]) > 1:
             m = _pair_products(m)
         a, b, cc, d = (e[0] for e in m)
@@ -397,10 +439,10 @@ def _pair_products(m):
     return tuple(np.concatenate((p, e[n:])) for p, e in zip(prod, m))
 
 
-def _node_values(c, alpha: float, path: np.ndarray, lam, y, yp, scale=None):
+def _node_values(c, alpha: float, path: np.ndarray, lam, y, yp, scale=None, terms=None):
     """Values (y, y') of y'' = (c x^a - lam) y at the nodes of path, by blocks.
 
-    y and yp hold the values at path[0]; lam and scale are as in _blocks.
+    y and yp hold the values at path[0]; lam, scale and terms are as in _blocks.
     Yields (ys, yps) for each block of _blocks: the values from its first
     node to its last, which is the first node of the next block.  The
     up-sweep keeps every level of the pairwise products, and the down-sweep
@@ -408,7 +450,7 @@ def _node_values(c, alpha: float, path: np.ndarray, lam, y, yp, scale=None):
     2^(l+1), which fills in the odd multiples of 2^l (the prefix product of
     Blelloch, 1990, in log depth).
     """
-    for m in _blocks(c, alpha, path, lam, scale):
+    for m in _blocks(c, alpha, path, lam, scale, terms):
         levels = [m]
         while len(levels[-1][0]) > 1:
             levels.append(_pair_products(levels[-1]))
@@ -492,7 +534,7 @@ def _oscillation_count(alpha: float, ts: np.ndarray, X: float) -> Tuple[np.ndarr
     when a node value is not finite.
     """
     ts = np.asarray(ts, dtype=float)
-    xs = _mesh(X, _mesh_size(1.0, alpha, X))
+    xs, terms, decay = _shooting_mesh(1.0, alpha, X, _mesh_size(1.0, alpha, X))
     bound = float(np.max(xs[:-1] - xs[1:])) * math.sqrt(float(np.max(ts)))
     if not bound < 2.0:
         raise BracketError(
@@ -500,7 +542,7 @@ def _oscillation_count(alpha: float, ts: np.ndarray, X: float) -> Tuple[np.ndarr
         )
     counts = np.zeros(ts.shape, dtype=int)
     seed = _wkb_seed(1.0, alpha, X)
-    for y, yp in _node_values(1.0, alpha, xs, ts, *seed, _decay(1.0, alpha, xs)):
+    for y, yp in _node_values(1.0, alpha, xs, ts, *seed, decay, terms):
         _guard(y)
         zero = np.flatnonzero(np.any(y == 0.0, axis=0))
         if zero.size:
@@ -587,11 +629,15 @@ def complex_spectrum(spec: OperatorSpec, n_max: int, tol: float = 1e-9) -> Spect
     has |arg| <= 1, and keeps the Dirichlet condition at 0, the decay at
     infinity and so the zeros in lambda.  For |arg c| <= 1 the ray is the
     real axis; the coupling is never turned to arg 0, so the check against
-    the c = 1 reference below stays independent.  Seeds at
-    c^{2/(a+2)} t_asymptotic(n); every polished root is verified to be
-    c^{2/(a+2)} times a positive real that matches the c = 1 reference
-    spectrum to relative 1e-6 (the scaling law is exact, so a violation is
-    an implementation-bug signal, not a physical possibility).
+    the c = 1 reference below stays independent.  Seeds at the scaled
+    reference c^{2/(a+2)} t_n, which sits on the root to the reference's
+    tolerance, so Muller only polishes it to the proxy's; every polished
+    root is verified to be c^{2/(a+2)} times a positive real that matches
+    the c = 1 reference spectrum to relative 1e-6 (the scaling law is
+    exact, so a violation is an implementation-bug signal, not a physical
+    possibility).  The check does not lean on the seed: a proxy whose zeros
+    sit 1e-5 off the scaled reference still polishes to them and is
+    refused.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
@@ -606,13 +652,12 @@ def complex_spectrum(spec: OperatorSpec, n_max: int, tol: float = 1e-9) -> Spect
     scale_c = cmath.exp((2.0 / (alpha + 2.0)) * cmath.log(spec.c))
     t_ref = np.array(real_spectrum(alpha, n_max))
     t_asym = np.array([t_asymptotic(n, alpha) for n in range(1, n_max + 1)])
-    seeds = scale_c * t_asym
 
     arg = cmath.phase(spec.c)
     phi = (min(max(arg, -1.0), 1.0) - arg) / (alpha + 2.0)
     c_ray, lam_turn = spec.c * cmath.exp(1j * (alpha + 2.0) * phi), cmath.exp(2j * phi)
     roots, resid = muller_many(
-        lambda lams: _shoot_many(c_ray, alpha, lams * lam_turn, spec.X)[0], seeds, tol
+        lambda lams: _shoot_many(c_ray, alpha, lams * lam_turn, spec.X)[0], scale_c * t_ref, tol
     )
 
     # scaling-law verification against the real reference spectrum

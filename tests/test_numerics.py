@@ -16,7 +16,7 @@ from wkbspec.numerics import (
     muller_many,
     refine_brackets,
 )
-from wkbspec.spectrum import _cosh_sinhc, _magnus, _shoot_many
+from wkbspec.spectrum import _cosh_sinhc, _magnus, _magnus_terms, _shoot_many
 
 
 # ---------------------------------------------------------------------------
@@ -77,7 +77,7 @@ def test_bracket_validation():
 
 def _chain(c, alpha, nodes, lams, y, yp):
     """Apply the kernel's matrices over consecutive nodes, one interval at a time."""
-    m = _magnus(c, alpha, nodes[:-1, None], nodes[1:, None], np.asarray(lams)[None, :])
+    m = _magnus(_magnus_terms(c, alpha, nodes[:-1, None], nodes[1:, None]), np.asarray(lams)[None, :])
     for a, b, cc, d in zip(*m):
         y, yp = a * y + b * yp, cc * y + d * yp
     return y, yp

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from wkbspec.errors import BracketError, SignAnomalyError, WronskianError
+from wkbspec.errors import BracketError, ConvergenceError, SignAnomalyError, WronskianError
 from wkbspec.numerics import muller_many
 from wkbspec.spectrum import (
     OperatorSpec,
@@ -24,6 +24,7 @@ from wkbspec.spectrum import (
 )
 from wkbspec.spectrum import (
     _magnus,
+    _magnus_terms,
     _march_nodes,
     _mesh,
     _mesh_size,
@@ -212,16 +213,64 @@ def test_mesh_size_follows_the_rule(c, alpha, n, size):
 def test_mesh_does_not_depend_on_the_batch(monkeypatch):
     import wkbspec.spectrum as spectrum
 
-    sizes = []
-    mesh = spectrum._mesh
-    monkeypatch.setattr(spectrum, "_mesh", lambda X, n=1000: sizes.append(n) or mesh(X, n))
+    meshes = []
+    cached = spectrum._shooting_mesh
+
+    def recorded(*key):
+        mesh = cached(*key)
+        meshes.append(mesh[0])
+        return mesh
+
+    monkeypatch.setattr(spectrum, "_shooting_mesh", recorded)
+    cached.cache_clear()
     X = OperatorSpec.for_modes(1.0, 2.0, 100).X
     for lanes in (1, 9, 100):
         _shoot_many(1.0, 2.0, 4.0 * np.arange(1, lanes + 1) - 1.0, X)
     # the count and every refinement round of one spectrum share one mesh
     spectrum._real_spectrum_cached.cache_clear()
     real_spectrum(2.0, 100)
-    assert len(sizes) > 5 and set(sizes) == {2335}
+    assert len(meshes) > 5 and all(xs is meshes[0] for xs in meshes) and len(meshes[0]) == 2335 + 1
+
+
+@pytest.mark.parametrize("c", [1.0, cmath.exp(0.5j)])
+def test_shoot_is_the_same_from_a_cold_and_a_warm_mesh_cache(c):
+    import wkbspec.spectrum as spectrum
+
+    X = OperatorSpec.for_modes(c, ALPHA_23, 10).X
+    lams = np.array(real_spectrum(ALPHA_23, 10)) * (1.0 + 1e-3)
+    if c != 1.0:
+        lams = cmath.exp(0.75 * cmath.log(c)) * lams
+    spectrum._shooting_mesh.cache_clear()
+    cold = _shoot_many(c, ALPHA_23, lams, X)
+    hits = spectrum._shooting_mesh.cache_info().hits
+    warm = _shoot_many(c, ALPHA_23, lams, X)
+    assert spectrum._shooting_mesh.cache_info().hits == hits + 1
+    assert [v.tobytes() for v in warm] == [v.tobytes() for v in cold]
+
+
+def test_real_shoot_after_a_complex_one_keeps_real_terms():
+    # 1.0 == 1 + 0j and both hash alike: an untyped cache hands the real
+    # shoot the complex terms, whose blocks are half as long, and its values move
+    import wkbspec.spectrum as spectrum
+
+    X = OperatorSpec.for_modes(1.0, ALPHA_23, 10).X
+    ts = np.array(real_spectrum(ALPHA_23, 10)) * (1.0 + 1e-3)
+    spectrum._shooting_mesh.cache_clear()
+    cold = _shoot_many(1.0, ALPHA_23, ts, X)
+    spectrum._shooting_mesh.cache_clear()
+    _shoot_many(1.0 + 0j, ALPHA_23, ts.astype(complex), X)
+    warm = _shoot_many(1.0, ALPHA_23, ts, X)
+    for w, c in zip(warm, cold):
+        assert np.all(w.imag == 0.0) and np.array_equal(w, c)
+
+
+def test_cached_mesh_arrays_are_read_only():
+    import wkbspec.spectrum as spectrum
+
+    xs, terms, decay = spectrum._shooting_mesh(1.0, ALPHA_23, 10.0, 1000)
+    for a in (xs, decay, *terms):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0.0
 
 
 def test_asymptotic_trend_alpha1():
@@ -481,6 +530,36 @@ def test_rotated_and_unrotated_proxies_share_zeros(arg):
     assert_allclose(zeros[2], zeros[0], rtol=1e-6)
 
 
+@pytest.mark.parametrize("arg", [0.5, 1.6])
+def test_scaling_law_check_refuses_a_shifted_proxy(monkeypatch, arg):
+    # a proxy whose zeros sit 1e-5 off the scaled reference still polishes to
+    # them from a seed on the reference, and the 1e-6 check refuses them
+    import wkbspec.spectrum as spectrum
+
+    shoot = spectrum._shoot_many
+
+    def shifted(c, alpha, lams, X, lam_top=0.0):
+        if isinstance(c, complex):
+            lams = lams * (1.0 + 1e-5)
+        return shoot(c, alpha, lams, X, lam_top)
+
+    monkeypatch.setattr(spectrum, "_shoot_many", shifted)
+    spec = OperatorSpec.for_modes(cmath.exp(1j * arg), ALPHA_23, 3)
+    with pytest.raises(SignAnomalyError, match="mismatch"):
+        complex_spectrum(spec, 3)
+
+
+def test_complex_spectrum_refuses_high_modes_off_the_real_axis():
+    # known defect: |y(0)| of mode 20 at arg c = 1 floors near 2e-70 from 1e-14
+    # to 1e-6 relative off the root, a thousandth of its probe median, so
+    # tol = 1e-9 of that median is out of reach and Muller runs all 60 rounds;
+    # at arg c = 0.5 the same 20 modes solve
+    spec = OperatorSpec.for_modes(cmath.exp(1.0j), ALPHA_23, 20)
+    with pytest.raises(ConvergenceError, match="did not converge after 60 rounds"):
+        complex_spectrum(spec, 20)
+    assert len(complex_spectrum(OperatorSpec.for_modes(cmath.exp(0.5j), ALPHA_23, 20), 20).eigenvalues) == 20
+
+
 def test_complex_spectrum_simplicity_separation():
     spec = OperatorSpec.for_modes(1j, ALPHA_23, 4)
     res = complex_spectrum(spec, 4, tol=1e-9)
@@ -554,7 +633,7 @@ def test_march_matches_sequential_magnus_chain(grid_n, inward):
     else:
         path, y, yp = nodes, 0.0, 1.0
     ys, yps = [y], [yp]
-    for a, b, cc, d in zip(*_magnus(spec.c, spec.alpha, path[:-1], path[1:], 0.0)):
+    for a, b, cc, d in zip(*_magnus(_magnus_terms(spec.c, spec.alpha, path[:-1], path[1:]), 0.0)):
         y, yp = a * y + b * yp, cc * y + d * yp
         ys.append(y)
         yps.append(yp)
