@@ -21,8 +21,8 @@ y(.; t) on (0, X), counted as sign changes at the mesh nodes, is the
 number of eigenvalues below t; the roots are refined on the Prufer sine of
 (y, y') at 0, which has the sign of y(0; t) but no spread of magnitudes.
 Every chain of matrices comes from one
-generator of blocks (_blocks), which on a shooting mesh slices the
-lambda-free terms of the step, built once per mesh (_shooting_mesh): the
+generator of blocks (_blocks), which slices the lambda-free terms of the
+step, built once per path and cached per shooting mesh (_shooting_mesh): the
 proxy multiplies each block pairwise, and the count, the Green-kernel
 pair and the eigenfunctions take every node value from a prefix product
 over the same blocks (_node_values); the pair and the eigenfunctions run
@@ -359,28 +359,23 @@ def _wkb_seed(c, alpha: float, X: float):
     return X ** (-0.25 * alpha), -(c**0.5) * X ** (0.25 * alpha)
 
 
-def _blocks(c, alpha: float, path: np.ndarray, lam, scale=None, terms=None):
-    """Magnus matrices of y'' = (c x^a - lam) y on the intervals of path, by blocks.
+def _blocks(terms, lam, scale=None):
+    """Magnus matrices of y'' = (c x^a - lam) y on the intervals of a path, by blocks.
 
-    lam is a scalar or a 1-d array of spectral parameters, the trailing
-    axis of every matrix entry; scale, when given, holds one factor per
-    interval of path that multiplies its matrix.  terms, when given, holds
-    the _magnus_terms of every interval of path (a shooting mesh's come from
-    _shooting_mesh), and each block takes its slice of them; otherwise each
-    block computes its own.  A block spans as many intervals as fit
-    _BLOCK_BYTES in each entry array, and at least 8; consecutive blocks
-    share their end node.
+    terms holds the _magnus_terms of every interval of the path (a shooting
+    mesh's come from _shooting_mesh), and each block takes its slice of
+    them.  lam is a scalar or a 1-d array of spectral parameters, the
+    trailing axis of every matrix entry; scale, when given, holds one factor
+    per interval that multiplies its matrix.  A block spans as many
+    intervals as fit _BLOCK_BYTES in each entry array, and at least 8;
+    consecutive blocks share their end node.
     """
     lane = (slice(None),) + (None,) * np.ndim(lam)  # intervals down, lambdas across
-    rows = max(8, _BLOCK_BYTES // (np.result_type(c, lam).itemsize * max(1, np.size(lam))))
-    for i in range(0, len(path) - 1, rows):
-        if terms is None:
-            seg = path[i : i + rows + 1]
-            block = _magnus_terms(c, alpha, seg[:-1], seg[1:])
-        else:
-            block = (t[i : i + rows] for t in terms)
+    cq2 = terms[-1]
+    rows = max(8, _BLOCK_BYTES // (np.result_type(cq2, lam).itemsize * max(1, np.size(lam))))
+    for i in range(0, len(cq2), rows):
         block_scale = 1.0 if scale is None else scale[i : i + rows][lane]
-        yield _magnus(tuple(t[lane] for t in block), lam, block_scale)
+        yield _magnus(tuple(t[i : i + rows][lane] for t in terms), lam, block_scale)
 
 
 @lru_cache(maxsize=8, typed=True)
@@ -389,8 +384,11 @@ def _shooting_mesh(c, alpha: float, X: float, n: int):
     _magnus_terms of its intervals and their _decay factors.
 
     The terms do not depend on lambda, so every shoot and count on one mesh
-    shares them.  The arrays are read-only.  typed: c = 1.0 and 1 + 0j are
-    equal and hash alike, but a real shoot needs real terms.
+    shares them.  The arrays are read-only.  The cache holds 8 meshes, not a
+    number of bytes: each keeps about 128 bytes per interval for complex c
+    (72 for real), so a large user-given X keeps its large mesh after the
+    call returns.  typed: c = 1.0 and 1 + 0j are equal and hash alike, but
+    a real shoot needs real terms.
     """
     xs = _mesh(X, n)
     terms = _magnus_terms(c, alpha, xs[:-1], xs[1:])
@@ -419,7 +417,7 @@ def _shoot_many(
         c = c.real  # real coupling and parameters: real arithmetic throughout
     xs, terms, decay = _shooting_mesh(c, alpha, X, _mesh_size(c, alpha, X, lam_top))
     y, yp = _wkb_seed(c, alpha, X)
-    for m in _blocks(c, alpha, xs, lams, decay, terms):
+    for m in _blocks(terms, lams, decay):
         while len(m[0]) > 1:
             m = _pair_products(m)
         a, b, cc, d = (e[0] for e in m)
@@ -439,18 +437,18 @@ def _pair_products(m):
     return tuple(np.concatenate((p, e[n:])) for p, e in zip(prod, m))
 
 
-def _node_values(c, alpha: float, path: np.ndarray, lam, y, yp, scale=None, terms=None):
-    """Values (y, y') of y'' = (c x^a - lam) y at the nodes of path, by blocks.
+def _node_values(terms, lam, y, yp, scale=None):
+    """Values (y, y') of y'' = (c x^a - lam) y at the nodes of a path, by blocks.
 
-    y and yp hold the values at path[0]; lam, scale and terms are as in _blocks.
-    Yields (ys, yps) for each block of _blocks: the values from its first
-    node to its last, which is the first node of the next block.  The
-    up-sweep keeps every level of the pairwise products, and the down-sweep
-    applies the level-l products to the values known at multiples of
-    2^(l+1), which fills in the odd multiples of 2^l (the prefix product of
-    Blelloch, 1990, in log depth).
+    y and yp hold the values at its first node; terms, lam and scale are as
+    in _blocks.  Yields (ys, yps) for each block of _blocks: the values
+    from its first node to its last, which is the first node of the next
+    block.  The up-sweep keeps every level of the pairwise products, and
+    the down-sweep applies the level-l products to the values known at
+    multiples of 2^(l+1), which fills in the odd multiples of 2^l (the
+    prefix product of Blelloch, 1990, in log depth).
     """
-    for m in _blocks(c, alpha, path, lam, scale, terms):
+    for m in _blocks(terms, lam, scale):
         levels = [m]
         while len(levels[-1][0]) > 1:
             levels.append(_pair_products(levels[-1]))
@@ -542,7 +540,7 @@ def _oscillation_count(alpha: float, ts: np.ndarray, X: float) -> Tuple[np.ndarr
         )
     counts = np.zeros(ts.shape, dtype=int)
     seed = _wkb_seed(1.0, alpha, X)
-    for y, yp in _node_values(1.0, alpha, xs, ts, *seed, decay, terms):
+    for y, yp in _node_values(terms, ts, *seed, decay):
         _guard(y)
         zero = np.flatnonzero(np.any(y == 0.0, axis=0))
         if zero.size:
@@ -700,7 +698,8 @@ def _march_nodes(
     common exponential factor dropped.  The path is the grid merged with the
     shooting mesh, with one Magnus step per interval; every step has
     determinant 1, so the Wronskian of u and v is conserved to rounding.
-    The node values come from the blocked prefix product _node_values.
+    The terms of the whole path are built at once, and the node values come
+    from the blocked prefix product _node_values.
     """
     c, alpha = spec.c, spec.alpha
     xs = spec.grid()
@@ -708,7 +707,8 @@ def _march_nodes(
     nodes = np.sort(np.concatenate((xs, _mesh(spec.X, _mesh_size(c, alpha, spec.X, abs(lam))))))
     path = nodes[::-1] if inward else nodes
     seed = _wkb_seed(c, alpha, spec.X) if inward else (0.0, 1.0)
-    blocks = zip(*_node_values(c, alpha, path, lam, *seed))
+    terms = _magnus_terms(c, alpha, path[:-1], path[1:])
+    blocks = zip(*_node_values(terms, lam, *seed))
     # consecutive blocks share their end node
     ys, yps = (np.concatenate([v[0][:1]] + [b[1:] for b in v]) for v in blocks)
     _guard(ys)

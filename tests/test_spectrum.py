@@ -250,7 +250,8 @@ def test_shoot_is_the_same_from_a_cold_and_a_warm_mesh_cache(c):
 
 def test_real_shoot_after_a_complex_one_keeps_real_terms():
     # 1.0 == 1 + 0j and both hash alike: an untyped cache hands the real
-    # shoot the complex terms, whose blocks are half as long, and its values move
+    # shoot the complex terms, so its step runs in complex arithmetic and its
+    # values move
     import wkbspec.spectrum as spectrum
 
     X = OperatorSpec.for_modes(1.0, ALPHA_23, 10).X
