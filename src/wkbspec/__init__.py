@@ -39,7 +39,6 @@ from .spectrum import (
     homogeneous_pair,
     real_spectrum,
     s_numbers,
-    spectral_det,
     t_asymptotic,
 )
 
@@ -69,7 +68,6 @@ __all__ = [
     "s_numbers",
     "segment_integral_closed",
     "solve_theta0",
-    "spectral_det",
     "t_asymptotic",
     "trace_stokes_curve",
     "verify_threshold_bounds",

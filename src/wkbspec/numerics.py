@@ -228,8 +228,11 @@ def muller_many(
     """Muller's method for a batch of complex roots, one per seed.
 
     f_many maps an array of points to an array of values; each round makes
-    one call with the unconverged lanes only, and the probe triangle around
-    every seed is evaluated in a single call.  k = 1 is the scalar case.
+    one call with the unconverged lanes only, and the probe triangle of
+    every seed is evaluated in a single call.  The seed is the newest vertex
+    of its triangle, the other two sit at radius h = 1e-3 max(1, |seed|)
+    from it, so the first step starts from the seed: from a seed close to a
+    simple root it lands on the root in one round.  k = 1 is the scalar case.
     A lane converges when |f| < tol * median |f| over its probe triangle,
     or when its step falls below 1e-12 |x| while that scaled residual is
     below sqrt(tol): a function evaluated with relative noise can floor out
@@ -244,7 +247,7 @@ def muller_many(
     k = len(seeds)
     h = 1e-3 * np.maximum(1.0, np.abs(seeds))
     turn = cmath.exp(2j * math.pi / 3)
-    pts = np.stack([seeds + h, seeds + h * turn, seeds + h * turn.conjugate()])
+    pts = np.stack([seeds + h * turn, seeds + h * turn.conjugate(), seeds])
     # a copy: the rounds below write into vals, and f_many may keep what it returns
     vals = np.array(f_many(pts.reshape(-1)), dtype=complex).reshape(3, k)
     # the median of each probe triple, as its middle value: np.median imports

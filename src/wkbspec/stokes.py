@@ -55,6 +55,7 @@ _CAPTURE_RADIUS = 1e-2  # on a compound potential, a curve this close to the oth
 _DEFAULT_MAX_ARCLEN = 12.0
 _NEWTON_TOL = 1e-13
 _NEWTON_MAX = 8
+_ROUNDING = 4.0 * np.finfo(float).eps  # Newton's floor on |S - target| per |z| |sqrt(P)| (_solve)
 
 
 @dataclass(frozen=True)
@@ -138,11 +139,20 @@ def _compound(pot: PotentialQuadratic) -> bool:
 # ---------------------------------------------------------------------------
 
 def _solve(at, z0, phase0, log0, z, target):
-    """Newton on S(z) = target from the guess z; S is continued from the point z0."""
-    for _ in range(_NEWTON_MAX):
+    """Newton on S(z) = target from the guess z; S is continued from the point z0.
+
+    Accepts |S - target| <= max(1e-13 max(1, |target|), 4 eps |z| |sqrt(P)|),
+    the second bound taken at the guess: z itself is rounded to eps |z|,
+    which moves S by |sqrt(P)| times that, so next to a turning point far
+    from 0, where |target| is small, the first bound is out of reach.
+    """
+    tol = _NEWTON_TOL * max(1.0, abs(target))
+    for i in range(_NEWTON_MAX):
         s_val, q, phase, lg = at(z0, phase0, log0, z)
+        if not i:
+            tol = max(tol, _ROUNDING * abs(z) * abs(q))
         res = s_val - target
-        if abs(res) <= _NEWTON_TOL * max(1.0, abs(target)):
+        if abs(res) <= tol:
             return z, q, phase, lg
         z -= res / q  # dS/dz = sqrt(P)
     raise TracingError(f"Newton on S(z) = {target:.6g} did not converge near z={z:.6g}")
@@ -160,7 +170,8 @@ def trace_stokes_curve(
     The curve is the level set S(z) = i s, s real, of the closed-form action
     S from tp.  Each step advances s by h |sqrt(P)|, predicts along the
     tangent and solves S(z) = i s by Newton, so every stored point meets
-    |S - i s| <= 1e-13 max(1, |s|).  The step h is capped by the distance
+    |S - i s| <= 1e-13 max(1, |s|), or the rounding 4 eps |z| |sqrt(P)|
+    of S where that is larger (_solve).  The step h is capped by the distance
     to tp, by half the distance to the other turning point (so no chord
     passes near either), by the chord sagitta sag_tol at the exact
     curvature of the level line, and by an arclength cap that grows with

@@ -301,6 +301,27 @@ def test_muller_sin():
     assert len(calls) - 1 <= 10
 
 
+def test_muller_probes_every_seed():
+    # the seed is a vertex of its own probe triangle
+    seeds = np.array([3.0, 0.4j, -2.9 + 0.1j])
+    probes = []
+
+    def f_many(z):
+        probes.append(np.array(z))
+        return np.sin(z) * (z - 0.5j)
+
+    muller_many(f_many, seeds, 1e-12)
+    assert set(seeds.tolist()) <= set(probes[0].tolist())
+
+
+def test_muller_from_a_seed_on_the_root_takes_one_round():
+    # the first step starts from the seed, 1e-11 off a simple root, and lands on it
+    f_many, calls = _counted(cmath.sin)
+    roots, resid = muller_many(f_many, [math.pi * (1.0 + 1e-11)], 1e-12)
+    assert calls == [3, 1]
+    assert abs(roots[0] - math.pi) < 1e-15 and resid[0] < 1e-12
+
+
 def test_muller_reports_iterations_and_residual():
     f_many, calls = _counted(lambda z: (z - 2.0) * (z + 1.0))
     roots, resid = muller_many(f_many, [1.5], 1e-10)

@@ -19,7 +19,6 @@ from wkbspec.spectrum import (
     homogeneous_pair,
     real_spectrum,
     s_numbers,
-    spectral_det,
     t_asymptotic,
 )
 from wkbspec.spectrum import (
@@ -419,15 +418,13 @@ def test_real_spectrum_roots_are_sign_changes_of_the_proxy():
 
 def test_det_vanishes_at_eigenvalue_alpha2():
     spec = OperatorSpec.for_modes(1.0 + 0j, 2.0, 4)
-    d_eig = spectral_det(spec, 3.0)
-    d_off = spectral_det(spec, 2.0)
+    d_eig, d_off = _shoot_many(spec.c, spec.alpha, np.array([3.0, 2.0]), spec.X)[0]
     assert abs(d_eig) < 1e-7 * abs(d_off)
 
 
 def test_det_nonzero_at_origin():
     spec = OperatorSpec.for_modes(1.0 + 0j, 2.0, 4)
-    d0 = spectral_det(spec, 0.0)
-    d_half = spectral_det(spec, 1.0)
+    d0, d_half = _shoot_many(spec.c, spec.alpha, np.array([0.0, 1.0]), spec.X)[0]
     assert abs(d0) > 1e-3 * abs(d_half)
 
 
@@ -436,15 +433,8 @@ def test_det_zero_at_scaled_eigenvalue_complex_c():
     spec = OperatorSpec.for_modes(c, ALPHA_23, 3)
     t1 = real_spectrum(ALPHA_23, 1)[0]
     lam = cmath.exp(0.75 * cmath.log(c)) * t1
-    on = spectral_det(spec, lam)
-    off = spectral_det(spec, lam * 1.02)
+    on, off = _shoot_many(spec.c, spec.alpha, np.array([lam, lam * 1.02]), spec.X)[0]
     assert abs(on) < 1e-6 * abs(off)
-
-
-def test_det_requires_truncation_beyond_turning_point():
-    spec = OperatorSpec(c=1.0 + 0j, alpha=2.0, X=3.0, grid_n=64)
-    with pytest.raises(ValueError):
-        spectral_det(spec, 100.0)
 
 
 def test_muller_polishes_first_oscillator_eigenvalue():
@@ -453,7 +443,7 @@ def test_muller_polishes_first_oscillator_eigenvalue():
 
     def f_many(zs):
         calls.append(len(zs))
-        return np.array([spectral_det(spec, z) for z in zs])
+        return _shoot_many(spec.c, spec.alpha, zs, spec.X)[0]
 
     roots, _ = muller_many(f_many, [2.8], 1e-8)
     assert abs(roots[0] - 3.0) < 1e-7
@@ -476,7 +466,7 @@ def test_shoot_does_not_depend_on_the_batch(c):
 def test_det_sign_changes_across_real_roots():
     # eigenvalues at 3 and 7: sign flips across each, none between 4 and 6
     spec = OperatorSpec.for_modes(1.0 + 0j, 2.0, 3)
-    d = [spectral_det(spec, t).real for t in (2.0, 4.0, 6.0, 8.0)]
+    d = _shoot_many(spec.c, spec.alpha, np.array([2.0, 4.0, 6.0, 8.0]), spec.X)[0].real
     assert d[0] * d[1] < 0.0 and d[1] * d[2] > 0.0 and d[2] * d[3] < 0.0
 
 
@@ -539,10 +529,10 @@ def test_scaling_law_check_refuses_a_shifted_proxy(monkeypatch, arg):
 
     shoot = spectrum._shoot_many
 
-    def shifted(c, alpha, lams, X, lam_top=0.0):
+    def shifted(c, alpha, lams, X):
         if isinstance(c, complex):
             lams = lams * (1.0 + 1e-5)
-        return shoot(c, alpha, lams, X, lam_top)
+        return shoot(c, alpha, lams, X)
 
     monkeypatch.setattr(spectrum, "_shoot_many", shifted)
     spec = OperatorSpec.for_modes(cmath.exp(1j * arg), ALPHA_23, 3)
@@ -550,15 +540,41 @@ def test_scaling_law_check_refuses_a_shifted_proxy(monkeypatch, arg):
         complex_spectrum(spec, 3)
 
 
+@pytest.mark.parametrize(
+    "n, arg", [(3, arg) for arg in (0.0, 0.5, -0.5, 1.4, -1.4, 2.2, -2.2, 3.0)] + [(20, 1.0)]
+)
+def test_complex_spectrum_polishes_in_one_muller_round(monkeypatch, n, arg):
+    # the seed, the scaled reference, is a vertex of its probe triangle, and
+    # Muller's first step from it lands on the root: one shoot of the 3n
+    # probes and one of the n candidates
+    import wkbspec.spectrum as spectrum
+
+    real_spectrum(ALPHA_23, n)  # the memoized reference, shot before counting
+    shoot, lanes = spectrum._shoot_many, []
+
+    def counted(c, alpha, lams, X):
+        lanes.append(len(lams))
+        return shoot(c, alpha, lams, X)
+
+    monkeypatch.setattr(spectrum, "_shoot_many", counted)
+    complex_spectrum(OperatorSpec.for_modes(cmath.exp(1j * arg), ALPHA_23, n), n)
+    assert lanes == [3 * n, n]
+
+
 def test_complex_spectrum_refuses_high_modes_off_the_real_axis():
-    # known defect: |y(0)| of mode 20 at arg c = 1 floors near 2e-70 from 1e-14
-    # to 1e-6 relative off the root, a thousandth of its probe median, so
-    # tol = 1e-9 of that median is out of reach and Muller runs all 60 rounds;
-    # at arg c = 0.5 the same 20 modes solve
-    spec = OperatorSpec.for_modes(cmath.exp(1.0j), ALPHA_23, 20)
-    with pytest.raises(ConvergenceError, match="did not converge after 60 rounds"):
-        complex_spectrum(spec, 20)
-    assert len(complex_spectrum(OperatorSpec.for_modes(cmath.exp(0.5j), ALPHA_23, 20), 20).eigenvalues) == 20
+    # at coupling angle 1 the proxy of mode 20 at arg c = 1 floors near 2e-70,
+    # a thousandth of its probe median, out of Muller's reach; on the ray
+    # turned to angle 0.05 these modes solve
+    for n, arg in ((20, 1.0), (30, 1.5), (20, 0.5)):
+        ref = np.array(real_spectrum(ALPHA_23, n))
+        for modulus in (1.0, 1.3):
+            res = complex_spectrum(OperatorSpec.for_modes(modulus * cmath.exp(1j * arg), ALPHA_23, n), n)
+            assert_allclose(res.t_values, ref, rtol=1e-10, atol=0.0)
+    # known defect: at alpha = 1/2 the lambda-free interval factor damps the
+    # proxy of mode 40 below what Muller can polish, on the real axis and off it
+    for c in (1.0, cmath.exp(1.0j)):
+        with pytest.raises(ConvergenceError, match="did not converge after 60 rounds"):
+            complex_spectrum(OperatorSpec.for_modes(c, 0.5, 40), 40)
 
 
 def test_complex_spectrum_simplicity_separation():

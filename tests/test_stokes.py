@@ -166,6 +166,19 @@ def test_far_apart_turning_points_trace(modulus, arg):
         assert abs(s_val.real) <= 1e-10 * max(1.0, abs(s_val)), f"Re S = {s_val.real:.2e} at {b}"
 
 
+@pytest.mark.parametrize("mu", [40 + 300j, 300 + 950j, -200 + 50j])
+def test_trace_from_a_far_turning_point(mu):
+    # z next to mu is rounded to eps |mu|, which moves S by |sqrt(P)| times
+    # that: near the launch more than 1e-13 max(1, |S|), which Newton can
+    # then not reach
+    pot = PotentialQuadratic.t_form(mu)
+    for k in range(3):
+        curve = trace_stokes_curve(pot, mu, k)
+        assert curve.terminal == "infinity"
+        for b, s_val in _vertex_actions(pot, curve.points):
+            assert abs(s_val.real) <= 1e-10 * max(1.0, abs(s_val)), f"Re S = {s_val.real:.2e} at {b}"
+
+
 def test_re_s_conserved_far_out():
     # at |z| ~ 3e7, u + q / sqrt(k) in the closed-form action cancelled to
     # exactly 0 and its log raised; it is now taken as a^2 / (u - q / sqrt(k))
