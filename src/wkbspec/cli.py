@@ -194,15 +194,17 @@ def _cmd_resolvent(args, argv) -> int:
     # forward-operator residual by central differences on the interior
     ypp = (y.values[:-2] - 2.0 * y.values[1:-1] + y.values[2:]) / h**2
     res = -ypp + args.c * xs[1:-1] ** args.alpha * y.values[1:-1] - f_vals[1:-1]
-    rel = float(np.max(np.abs(res)) / np.max(np.abs(f_vals)))
+    res_max = np.max(np.abs(res))
+    # f = 0 gives y = 0 and a residual of exactly 0, not 0 / 0
+    rel = float(res_max / np.max(np.abs(f_vals))) if res_max else 0.0
     rows = _csv_header(argv) + [
         f"# residual_max_rel: {_num(rel)}",
         f"# y_at_zero: {_num(abs(y.values[0]))}",
         "x,y_re,y_im",
     ]
-    row = ",".join([_FMT] * 3).format
-    rows += map(row, xs.tolist(), y.values.real.tolist(), y.values.imag.tolist())
-    _emit("\n".join(rows) + "\n", args.out)
+    from ._table import fmt_columns  # compiled only by resolvent runs
+
+    _emit("\n".join(rows) + "\n" + fmt_columns(xs, y.values.real, y.values.imag), args.out)
     return 0
 
 

@@ -800,7 +800,9 @@ def apply_inverse(spec: OperatorSpec, f: SampledFunction) -> SampledFunction:
     super-exponential decay of v justifies.  y(0) = 0 exactly by
     construction.  The Wronskian is checked constant to relative 1e-6
     across the grid.  The data and the pair live on the real axis, so
-    nothing is rotated as in complex_spectrum.
+    nothing is rotated as in complex_spectrum.  Data large enough that y
+    overflows (|f| near the top of the double range) raise
+    OverflowGuardError.
     """
     xs = spec.grid()
     if f.grid.shape != xs.shape or not np.allclose(f.grid, xs, rtol=0, atol=1e-12 * spec.X):
@@ -815,10 +817,14 @@ def apply_inverse(spec: OperatorSpec, f: SampledFunction) -> SampledFunction:
     if drift > 1e-6:
         raise WronskianError(f"Wronskian drift {drift:.3e} exceeds 1e-6")
     h = xs[1] - xs[0]
-    a_part = _cumulative_quad(u * f.values, h)
-    b_part = _cumulative_quad(v * f.values, h, backward=True)
-    y = (v * a_part + u * b_part) / w0
+    with np.errstate(over="ignore", invalid="ignore"):
+        a_part = _cumulative_quad(u * f.values, h)
+        b_part = _cumulative_quad(v * f.values, h, backward=True)
+        y = (v * a_part + u * b_part) / w0
     y[0] = 0.0
+    if not np.all(np.isfinite(y)):
+        raise OverflowGuardError(
+            f"the Green-kernel result y overflowed (max |f| = {np.max(np.abs(f.values)):.3e})")
     return SampledFunction(xs, y)
 
 

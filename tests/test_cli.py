@@ -6,10 +6,13 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import wkbspec
-from wkbspec import __version__
-from wkbspec.cli import _build_parser, main
+from wkbspec import OperatorSpec, SampledFunction, __version__, apply_inverse
+from wkbspec._table import fmt_columns
+from wkbspec.cli import _build_parser, _num, main
 
 
 def run(argv, capsys):
@@ -113,6 +116,63 @@ def test_resolvent_roundtrip(tmp_path, capsys):
     assert float(resid_line.split(":")[1]) < 1e-5
     zero_line = next(l for l in text if l.startswith("# y_at_zero:"))
     assert float(zero_line.split(":")[1]) == 0.0
+    # the table, 6001 rows over six chunks of fmt_columns, against one _num per float
+    xs, f = np.loadtxt(f_csv, delimiter=",").T
+    spec = OperatorSpec(c=0.5 + 0.8660254037844386j, alpha=0.6666666666666666, X=float(xs[-1]), grid_n=len(xs))
+    y = apply_inverse(spec, SampledFunction(xs, f)).values
+    rows = [f"{_num(a)},{_num(b)},{_num(c)}" for a, b, c in zip(xs, y.real, y.imag)]
+    assert text[text.index("x,y_re,y_im") + 1:] == rows
+
+
+def _per_row(*cols):
+    return "".join(",".join(map(_num, row)) + "\n" for row in zip(*cols))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 4).flatmap(
+    lambda k: st.lists(st.tuples(*[st.floats(allow_nan=False, allow_infinity=False)] * k), min_size=1, max_size=30)))
+def test_fmt_columns_matches_per_row_formatting(rows):
+    cols = list(zip(*rows))
+    assert fmt_columns(*cols) == _per_row(*cols)
+
+
+def test_fmt_columns_edge_values():
+    edges = [0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+             1e23, 9.999999999999999e-05, 12345678901234565.0, 0.5, 2.5, 1e16 - 2.0,
+             1234567890123456.5, 1234567890123457.5]  # the last two are ties, to even
+    for k in range(-300, 301):
+        p = float(f"1e{k}")
+        edges += [np.nextafter(p, 0.0), p, np.nextafter(p, np.inf)]
+    edges = np.array(edges)
+    assert fmt_columns(edges, -edges) == _per_row(edges, -edges)
+    assert fmt_columns([1e23]) == "9.999999999999999e+22\n"
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            fmt_columns([1.0, bad])
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_resolvent_zero_rhs(tmp_path, capsys):
+    xs = np.linspace(0.0, 12.0, 1201)
+    f_csv = tmp_path / "f.csv"
+    np.savetxt(f_csv, np.column_stack([xs, 0.0 * xs]), delimiter=",")
+    code, out, err = run(["resolvent", "--alpha", "0.6666666666666666", "--c", "0.5,0.8660254037844386",
+                          "--input", str(f_csv)], capsys)
+    assert code == 0, err
+    assert "# residual_max_rel: 0.000000000000000e+00\n" in out
+    table = np.array([row.split(",") for row in out.split("x,y_re,y_im\n")[1].splitlines()], dtype=float)
+    assert table.shape == (len(xs), 3) and not np.any(table[:, 1:])
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_resolvent_overflowing_rhs_exits_1(tmp_path, capsys):
+    xs = np.linspace(0.0, 12.0, 1201)
+    f_csv = tmp_path / "f.csv"
+    np.savetxt(f_csv, np.column_stack([xs, 1e307 * np.exp(-((xs - 3.0) ** 2))]), delimiter=",")
+    code, _, err = run(["resolvent", "--alpha", "0.6666666666666666", "--c", "0.5,0.8660254037844386",
+                        "--input", str(f_csv)], capsys)
+    assert code == 1
+    assert "Green-kernel result y overflowed" in err
 
 
 def test_resolvent_rejects_bad_grid(tmp_path, capsys):
@@ -255,5 +315,6 @@ def test_parser_reused_without_state(tmp_path, capsys):
 
 def test_parser_not_built_at_import():
     src = os.path.dirname(os.path.dirname(wkbspec.__file__))
-    code = "import wkbspec.cli as c; assert c._build_parser.cache_info().currsize == 0"
+    code = ("import sys, wkbspec.cli as c; assert c._build_parser.cache_info().currsize == 0; "
+            "assert 'wkbspec._table' not in sys.modules")
     subprocess.run([sys.executable, "-c", code], check=True, env={**os.environ, "PYTHONPATH": src})

@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from wkbspec.errors import BracketError, ConvergenceError, SignAnomalyError, WronskianError
+from wkbspec.errors import (
+    BracketError,
+    ConvergenceError,
+    OverflowGuardError,
+    SignAnomalyError,
+    WronskianError,
+)
 from wkbspec.numerics import muller_many
 from wkbspec.spectrum import (
     OperatorSpec,
@@ -698,6 +704,13 @@ def test_apply_inverse_grid_mismatch(resolvent_spec):
     xs = np.linspace(0.0, 1.0, 11)
     with pytest.raises(ValueError):
         apply_inverse(resolvent_spec, SampledFunction(xs, np.zeros(11)))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_apply_inverse_refuses_an_overflowing_result(resolvent_spec):
+    xs = resolvent_spec.grid()
+    with pytest.raises(OverflowGuardError, match="overflowed"):
+        apply_inverse(resolvent_spec, SampledFunction(xs, 1e307 * np.exp(-((xs - 3.0) ** 2))))
 
 
 # ---------------------------------------------------------------------------
