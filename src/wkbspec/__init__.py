@@ -16,7 +16,6 @@ from .actions import (
 )
 from .stokes import (
     build_stokes_graph,
-    numerical_ray_extremum,
     ray_crossing_report,
     ray_extremum,
     trace_stokes_curve,
@@ -60,7 +59,6 @@ __all__ = [
     "gamma_fn",
     "half_line_integral_split",
     "homogeneous_pair",
-    "numerical_ray_extremum",
     "ray_crossing_report",
     "ray_extremum",
     "real_spectrum",

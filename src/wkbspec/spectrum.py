@@ -9,12 +9,14 @@ homogeneous solutions, and the singular values are 1/|lambda_n|.
 Every ODE solve goes through one kernel, the sixth-order three-point Gauss
 Magnus transfer matrix of y'' = (c x^a - lambda) y over an interval
 (_magnus), on one mesh x = X s^2 whose size follows the problem's spectral
-window (_mesh_size), never the batch.  The determinant proxy
-is the boundary value y(0; lambda) of the solution that decays at
-infinity, chained inward from the truncation radius X with a WKB seed;
-a lambda-independent factor per interval keeps hundreds of orders of
-magnitude inside double precision, so the proxy is an entire function of
-lambda with exactly the eigenvalues as zeros.  The reference spectrum is
+window (_mesh_size), never the batch.  The spectra shoot the solution that
+decays at infinity inward from the truncation radius X with a WKB seed,
+each step damped by its own WKB growth (scaled shooting; Pryce, Numerical
+Solution of Sturm-Liouville Problems, 1993), so (y, y') stays in range at
+0 for every lambda up to a positive factor common to both.  They read
+only what that factor cannot change: the determinant proxy of complex
+spectra is the Weyl-Titchmarsh ratio m(lambda) = y(0)/y'(0), meromorphic
+in lambda with the eigenvalues as zeros.  The reference spectrum is
 bracketed between asymptotic-law points, and each bracket is certified by
 a Sturm oscillation count: the number of zeros of the decaying solution
 y(.; t) on (0, X), counted as sign changes at the mesh nodes, is the
@@ -283,24 +285,32 @@ def _magnus_terms(c, alpha: float, x0, x1):
     return e, w0, w1, f0, f1, h, cq2
 
 
-def _magnus(terms, lam, scale=1.0):
+def _magnus(terms, lam, damped=False):
     """Magnus-6 transfer matrices of y'' = (c x^a - lam) y from the
     _magnus_terms of their intervals.
 
     w and f are affine in p = h (c q2 - lam), the only factor that varies
     with lam, and exp(Omega) = cosh(mu) I + sinh(mu)/mu Omega with
-    mu^2 = w^2 + e f.  The terms and lam broadcast against each other;
-    scale multiplies every matrix.  Returns the entries (m11, m12, m21, m22)
-    mapping (y, y') at x0 to (y, y') at x1; each step has determinant
-    scale^2.
+    mu^2 = w^2 + e f.  The terms and lam broadcast against each other.
+    Returns the entries (m11, m12, m21, m22) mapping (y, y') at x0 to
+    (y, y') at x1; undamped, each has determinant 1.  damped multiplies each
+    matrix by exp(-|h| Re sqrt(c q2 - lam)) = exp(-Re sqrt(h p)), the
+    inverse of the step's WKB growth at its midpoint, which is 1 where the
+    solution oscillates; Re sqrt(h p) is sqrt(max(h p, 0)) on real lanes and
+    sqrt((|h p| + Re h p)/2) on complex ones.
     """
     e, w0, w1, f0, f1, h, cq2 = terms
     p = h * (cq2 - lam)
     w = w0 + w1 * p
     f = f0 + f1 * p
     cosh, sinhc = _cosh_sinhc(w * w + e * f)
-    cosh *= scale
-    sinhc *= scale
+    if damped:  # real arithmetic, in place: this runs on every (interval, lambda)
+        hp = h * p
+        growth = 0.5 * (np.abs(hp) + hp.real) if np.iscomplexobj(hp) else np.maximum(hp, 0.0, out=hp)
+        np.sqrt(growth, out=growth)
+        scale = np.exp(np.negative(growth, out=growth), out=growth)
+        cosh *= scale
+        sinhc *= scale
     sw = sinhc * w
     return cosh + sw, sinhc * e, sinhc * f, cosh - sw
 
@@ -315,9 +325,9 @@ def _mesh_size(c, alpha: float, X: float, lam_top: float = 0.0) -> int:
     the WKB suppression asks for more, so L is that top or above it.  The
     longest step of _mesh, 2X/N at X, then turns the phase of the solution
     by at most 2/3 below L, and spans at most 16 e-foldings of the WKB
-    growth at X, which the per-interval _decay factors cancel only in
-    part.  N depends on the problem (c, alpha, X and lam_top) only, never
-    on the spectral parameters of one batch.
+    growth at X, which the damping of each step (_magnus), taken at its
+    midpoint, cancels only in part.  N depends on the problem (c, alpha, X
+    and lam_top) only, never on the spectral parameters of one batch.
     """
     top = max(float(lam_top), abs(c) * (X / 1.5) ** alpha)
     return max(
@@ -336,14 +346,6 @@ def _mesh(X: float, n: int = _MIN_INTERVALS) -> np.ndarray:
     return X * np.linspace(1.0, 0.0, n + 1) ** 2
 
 
-def _decay(c, alpha: float, xs: np.ndarray) -> np.ndarray:
-    """The lambda-independent factors exp(-|h| sqrt(c) x_mid^{a/2}), one per
-    interval of the inward path xs; their product cancels the dominant WKB
-    growth of the decaying solution."""
-    x0, x1 = xs[:-1], xs[1:]
-    return np.exp(-(x0 - x1) * c**0.5 * (0.5 * (x0 + x1)) ** (0.5 * alpha))
-
-
 def _guard(values: np.ndarray) -> np.ndarray:
     top = np.max(np.abs(values), initial=0.0)
     if not top <= _OVERFLOW_BOUND:
@@ -358,63 +360,61 @@ def _wkb_seed(c, alpha: float, X: float):
     return X ** (-0.25 * alpha), -(c**0.5) * X ** (0.25 * alpha)
 
 
-def _blocks(terms, lam, scale=None):
+def _blocks(terms, lam, damped=False):
     """Magnus matrices of y'' = (c x^a - lam) y on the intervals of a path, by blocks.
 
     terms holds the _magnus_terms of every interval of the path (a shooting
     mesh's come from _shooting_mesh), and each block takes its slice of
     them.  lam is a scalar or a 1-d array of spectral parameters, the
-    trailing axis of every matrix entry; scale, when given, holds one factor
-    per interval that multiplies its matrix.  A block spans as many
-    intervals as fit _BLOCK_BYTES in each entry array, and at least 8;
-    consecutive blocks share their end node.
+    trailing axis of every matrix entry; damped is as in _magnus, and each
+    factor depends on its own (interval, lambda) only, never on the block.
+    A block spans as many intervals as fit _BLOCK_BYTES in each entry
+    array, and at least 8; consecutive blocks share their end node.
     """
     lane = (slice(None),) + (None,) * np.ndim(lam)  # intervals down, lambdas across
     cq2 = terms[-1]
     rows = max(8, _BLOCK_BYTES // (np.result_type(cq2, lam).itemsize * max(1, np.size(lam))))
     for i in range(0, len(cq2), rows):
-        block_scale = 1.0 if scale is None else scale[i : i + rows][lane]
-        yield _magnus(tuple(t[i : i + rows][lane] for t in terms), lam, block_scale)
+        yield _magnus(tuple(t[i : i + rows][lane] for t in terms), lam, damped)
 
 
 @lru_cache(maxsize=8, typed=True)
 def _shooting_mesh(c, alpha: float, X: float, n: int):
-    """(xs, terms, decay) of a shooting mesh: the nodes _mesh(X, n), the
-    _magnus_terms of its intervals and their _decay factors.
+    """(xs, terms) of a shooting mesh: the nodes _mesh(X, n) and the
+    _magnus_terms of its intervals.
 
     The terms do not depend on lambda, so every shoot and count on one mesh
     shares them.  The arrays are read-only.  The cache holds 8 meshes, not a
-    number of bytes: each keeps about 128 bytes per interval for complex c
-    (72 for real), so a large user-given X keeps its large mesh after the
+    number of bytes: each keeps about 112 bytes per interval for complex c
+    (64 for real), so a large user-given X keeps its large mesh after the
     call returns.  typed: c = 1.0 and 1 + 0j are equal and hash alike, but
     a real shoot needs real terms.
     """
     xs = _mesh(X, n)
     terms = _magnus_terms(c, alpha, xs[:-1], xs[1:])
-    decay = _decay(c, alpha, xs)
-    for a in (xs, decay, *terms):
+    for a in (xs, *terms):
         a.flags.writeable = False
-    return xs, terms, decay
+    return xs, terms
 
 
 def _shoot_many(c: complex, alpha: float, lams: np.ndarray, X: float) -> Tuple[np.ndarray, np.ndarray]:
-    """Renormalized (y(0; lambda), y'(0; lambda)) for a batch of spectral parameters.
+    """Damped (y(0; lambda), y'(0; lambda)) for a batch of spectral parameters.
 
     Chains Magnus transfer matrices from the WKB seed at X down to 0 on the
     mesh of _mesh_size(c, alpha, X) intervals, which the batch
-    does not change.  Each interval carries its _decay factor, which
-    cancels the dominant WKB growth so amplitudes stay in range while the
-    proxy y(0) remains entire in lambda.  The matrices of each block of
-    _blocks are multiplied pairwise in log depth, one level replacing the
-    last.  Both values pass _guard.
+    does not change.  Every step is damped by its own WKB growth (_magnus),
+    so the pair stays in range, up to a positive factor that depends on
+    lambda and cancels from the Prufer sine and the ratio y(0)/y'(0).  The
+    matrices of each block of _blocks are multiplied pairwise in log
+    depth, one level replacing the last.  Both values pass _guard.
     """
     c = complex(c)
     lams = np.asarray(lams).reshape(-1)
     if c.imag == 0.0 and np.isrealobj(lams):
         c = c.real  # real coupling and parameters: real arithmetic throughout
-    xs, terms, decay = _shooting_mesh(c, alpha, X, _mesh_size(c, alpha, X))
+    terms = _shooting_mesh(c, alpha, X, _mesh_size(c, alpha, X))[1]
     y, yp = _wkb_seed(c, alpha, X)
-    for m in _blocks(terms, lams, decay):
+    for m in _blocks(terms, lams, damped=True):
         while len(m[0]) > 1:
             m = _pair_products(m)
         a, b, cc, d = (e[0] for e in m)
@@ -434,10 +434,10 @@ def _pair_products(m):
     return tuple(np.concatenate((p, e[n:])) for p, e in zip(prod, m))
 
 
-def _node_values(terms, lam, y, yp, scale=None):
+def _node_values(terms, lam, y, yp, damped=False):
     """Values (y, y') of y'' = (c x^a - lam) y at the nodes of a path, by blocks.
 
-    y and yp hold the values at its first node; terms, lam and scale are as
+    y and yp hold the values at its first node; terms, lam and damped are as
     in _blocks.  Yields (ys, yps) for each block of _blocks: the values
     from its first node to its last, which is the first node of the next
     block.  The up-sweep keeps every level of the pairwise products, and
@@ -445,7 +445,7 @@ def _node_values(terms, lam, y, yp, scale=None):
     multiples of 2^(l+1), which fills in the odd multiples of 2^l (the
     prefix product of Blelloch, 1990, in log depth).
     """
-    for m in _blocks(terms, lam, scale):
+    for m in _blocks(terms, lam, damped):
         levels = [m]
         while len(levels[-1][0]) > 1:
             levels.append(_pair_products(levels[-1]))
@@ -500,7 +500,7 @@ def _oscillation_count(alpha: float, ts: np.ndarray, X: float) -> Tuple[np.ndarr
 
     The Sturm oscillation theorem makes the count the number of eigenvalues
     below t.  y is the shooting solution of _shoot_many (WKB seed at X, the
-    same mesh and interval factors), marched to every mesh node for all t
+    same mesh and damping), marched to every mesh node for all t
     at once by _node_values; the sign changes between consecutive nodes
     are summed block by block, so only one block of node values is ever
     held.  Zeros of y'' = (x^a - t) y lie at least pi/sqrt(t) apart, so on
@@ -508,12 +508,13 @@ def _oscillation_count(alpha: float, ts: np.ndarray, X: float) -> Tuple[np.ndarr
     node count is exact; the count asks for max(h) sqrt(t) < 2, which
     leaves the discrete node values a margin.  _mesh_size keeps that bound
     below 2/3 up to the window top of X, and below 1 at every point of
-    real_spectrum.  Raises BracketError when the bound fails, a node
-    value is exactly 0 or (y, y') underflows at 0, and OverflowGuardError
-    when a node value is not finite.
+    real_spectrum.  The damping of each step is positive, so it moves no
+    sign.  Raises BracketError when the bound fails, a node value is
+    exactly 0 or (y, y') underflows at 0, and OverflowGuardError when a node
+    value is not finite.
     """
     ts = np.asarray(ts, dtype=float)
-    xs, terms, decay = _shooting_mesh(1.0, alpha, X, _mesh_size(1.0, alpha, X))
+    xs, terms = _shooting_mesh(1.0, alpha, X, _mesh_size(1.0, alpha, X))
     bound = float(np.max(xs[:-1] - xs[1:])) * math.sqrt(float(np.max(ts)))
     if not bound < 2.0:
         raise BracketError(
@@ -521,13 +522,13 @@ def _oscillation_count(alpha: float, ts: np.ndarray, X: float) -> Tuple[np.ndarr
         )
     counts = np.zeros(ts.shape, dtype=int)
     seed = _wkb_seed(1.0, alpha, X)
-    for y, yp in _node_values(terms, ts, *seed, decay):
+    for y, yp in _node_values(terms, ts, *seed, damped=True):
         _guard(y)
         zero = np.flatnonzero(np.any(y == 0.0, axis=0))
         if zero.size:
             raise BracketError(
                 f"y(.; t) at t = {float(ts[zero[0]])!r} is exactly 0 at a node, so its sign is undefined "
-                f"(the scaled amplitude underflows on the truncation X = {X!r})"
+                f"(the damped amplitude underflows on the truncation X = {X!r})"
             )
         counts += np.count_nonzero(np.signbit(y[1:]) != np.signbit(y[:-1]), axis=0)
     return counts, _prufer_sine(ts, y[-1], _guard(yp[-1]))
@@ -551,10 +552,10 @@ def real_spectrum(
     with a bisection fallback (refine_brackets) on the Prufer sine of
     (y, y') at 0 (_prufer_sine), which has the zeros of y(0; t) but is
     close to linear across a bracket, so 2-8 rounds suffice where y(0; t)
-    itself takes 9-13.  Where (y, y') underflows at 0 (beyond n_max = 21 at
-    alpha = 0.2, or 90 at alpha = 2/3), BracketError names the underflow;
-    a tol below the float spacing at the top bracket end raises
-    ValueError before the first round.  Results are memoized per
+    itself takes 9-13.  The damping of the shoot leaves the sine unchanged
+    and keeps (y, y') in range at 0 up to the top mode.  A tol below the
+    float spacing at the top bracket end raises ValueError before the
+    first round.  Results are memoized per
     (alpha, n_max, X, tol); everything involved is deterministic.
     """
     if n_max < 1:
@@ -602,22 +603,23 @@ def _real_spectrum_cached(
 def complex_spectrum(spec: OperatorSpec, n_max: int, tol: float = 1e-9) -> SpectrumResult:
     """Eigenvalues of -y'' + c x^a y, polished on the determinant proxy.
 
-    The proxy is shot along the ray x = r e^{i phi}, r in [0, X], with
+    The proxy is the ratio m(lambda) = y(0)/y'(0) of the damped shoot
+    (_shoot_many), from which every damping factor cancels; its poles are
+    the Neumann eigenvalues of the truncated problem.  It is shot along the
+    ray x = r e^{i phi}, r in [0, X], with
     phi = (clip(arg c, -0.05, 0.05) - arg c)/(a + 2): there
     y(r) = Y(r e^{i phi}) solves y'' = (c e^{i(a+2)phi} r^a - lambda e^{2i phi}) y,
     whose coupling has |arg| <= 0.05, and keeps the Dirichlet condition at
     0, the decay at infinity and so the zeros in lambda.  The proxy's noise
     floor grows with the mode and with the coupling's angle: at angle 1,
-    mode 20 of alpha = 2/3 floors about 1e-6 relative off its root; at
-    angle 0.05 it polishes to within 4e-13 of the scaled reference.  For
-    |arg c| <= 0.05 the ray is the real axis; the coupling is never turned
-    to arg 0, so the check against the c = 1 reference below stays
-    independent.  Seeds at the scaled reference c^{2/(a+2)} t_n, which sits
-    on the root to the reference's tolerance; the seed is a vertex of its
-    Muller probe triangle, so one round polishes it to the proxy's.  Where
-    the lambda-free interval factors damp the proxy below what Muller can
-    resolve (alpha = 1/2 from n_max = 40), ConvergenceError is raised after
-    60 rounds.  Every polished root is verified to be c^{2/(a+2)} times a
+    Muller does not settle on every mode up to 20 of alpha = 2/3 in 60
+    rounds; at angle 0.05 they polish to within 4e-13 of the scaled
+    reference.  For |arg c| <= 0.05 the ray is the real axis; the coupling
+    is never turned to arg 0, so the check against the c = 1 reference
+    below stays independent.  Seeds at the scaled reference c^{2/(a+2)} t_n,
+    which sits on the root to the reference's tolerance; the seed is a
+    vertex of its Muller probe triangle, so one round polishes it to the
+    proxy's.  Every polished root is verified to be c^{2/(a+2)} times a
     positive real that matches the c = 1 reference spectrum to relative
     1e-6 (the scaling law is exact, so a violation is an implementation-bug
     signal, not a physical possibility).  The check does not lean on the
@@ -642,7 +644,7 @@ def complex_spectrum(spec: OperatorSpec, n_max: int, tol: float = 1e-9) -> Spect
     phi = (min(max(arg, -0.05), 0.05) - arg) / (alpha + 2.0)
     c_ray, lam_turn = spec.c * cmath.exp(1j * (alpha + 2.0) * phi), cmath.exp(2j * phi)
     roots, resid = muller_many(
-        lambda lams: _shoot_many(c_ray, alpha, lams * lam_turn, spec.X)[0], scale_c * t_ref, tol
+        lambda lams: np.divide(*_shoot_many(c_ray, alpha, lams * lam_turn, spec.X)), scale_c * t_ref, tol
     )
 
     # scaling-law verification against the real reference spectrum
@@ -821,6 +823,7 @@ def apply_inverse(spec: OperatorSpec, f: SampledFunction) -> SampledFunction:
         a_part = _cumulative_quad(u * f.values, h)
         b_part = _cumulative_quad(v * f.values, h, backward=True)
         y = (v * a_part + u * b_part) / w0
+    y += 0.0  # -0.0 + 0.0 is +0.0: a zero f prints no signed zeros
     y[0] = 0.0
     if not np.all(np.isfinite(y)):
         raise OverflowGuardError(

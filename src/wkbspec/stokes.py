@@ -351,7 +351,18 @@ def _refine_lanes(f, lo, hi, f_lo, f_hi) -> np.ndarray:
 
 
 def _ray_extrema(psis: List[float], gamma: float) -> np.ndarray:
-    """numerical_ray_extremum (inf for None) at every psi, with one refine_brackets call."""
+    """The extremum tau0 of Re S along the ray of every psi, by a root of its
+    slope, with one refine_brackets call; inf where there is none.
+
+    Independent of the closed-form ray_extremum: d(Re S)/d tau =
+    Re(sqrt(P) e^{i(gamma - psi)}), sqrt(P) continued from the origin along
+    the ray, is scanned on 48 taus spaced geometrically from 1e-6 (tau0 -> 0
+    at psi -> 2 pi - 3 gamma) to max(3, 2/sin(4 gamma)) (tau0 <= 1/sin(4
+    gamma)), and its first sign change is refined to 1e-12 of its scan
+    interval (a value-based search alone is limited to sqrt(eps/|S''|), and
+    the extremum can be nearly flat close to the regime boundaries).  A
+    psi whose scan sees no sign change (the monotone case) gets inf.
+    """
     if not 0.0 < gamma < math.pi / 4.0:
         raise ValueError("gamma must lie in (0, pi/4)")
 
@@ -374,22 +385,6 @@ def _ray_extrema(psis: List[float], gamma: float) -> np.ndarray:
         lambda j, tau: slope(psi[rows[j]], tau), taus[i], taus[i + 1], g[rows, i], g[rows, i + 1]
     )
     return out
-
-
-def numerical_ray_extremum(psi: float, gamma: float) -> Optional[float]:
-    """Locate the extremum of Re S along the ray by a root of its slope.
-
-    Independent of the closed-form ray_extremum: d(Re S)/d tau =
-    Re(sqrt(P) e^{i(gamma - psi)}), sqrt(P) continued from the origin along
-    the ray, is scanned on 48 taus spaced geometrically from 1e-6 (tau0 -> 0
-    at psi -> 2 pi - 3 gamma) to max(3, 2/sin(4 gamma)) (tau0 <= 1/sin(4
-    gamma)), and its first sign change is refined to 1e-12 of its scan
-    interval (a value-based search alone is limited to sqrt(eps/|S''|), and
-    the extremum can be nearly flat close to the regime boundaries).
-    Returns None when the scan sees no sign change (monotone case).
-    """
-    tau0 = float(_ray_extrema([psi], gamma)[0])
-    return tau0 if tau0 < math.inf else None
 
 
 @dataclass(frozen=True)

@@ -162,6 +162,7 @@ def test_resolvent_zero_rhs(tmp_path, capsys):
     assert "# residual_max_rel: 0.000000000000000e+00\n" in out
     table = np.array([row.split(",") for row in out.split("x,y_re,y_im\n")[1].splitlines()], dtype=float)
     assert table.shape == (len(xs), 3) and not np.any(table[:, 1:])
+    assert "-0." not in out
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -129,11 +129,11 @@ def test_cosh_sinhc_matches_mpmath(z):
 
 
 def test_shoot_overflow_guard():
-    # lam = -1e6 grows like exp(1000 x) inward, far past what the
-    # lambda-independent factor removes
+    # lam = -1e12 grows like exp(1e6 x) inward: one step of the mesh grows by
+    # about e^20000, past the double range before its factor can cancel it
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(OverflowGuardError):
-            _shoot_many(1.0, 2.0, np.array([-1e6]), 10.0)
+            _shoot_many(1.0, 2.0, np.array([-1e12]), 10.0)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,6 @@ from numpy.testing import assert_allclose
 
 from wkbspec.errors import (
     BracketError,
-    ConvergenceError,
     OverflowGuardError,
     SignAnomalyError,
     WronskianError,
@@ -273,8 +272,8 @@ def test_real_shoot_after_a_complex_one_keeps_real_terms():
 def test_cached_mesh_arrays_are_read_only():
     import wkbspec.spectrum as spectrum
 
-    xs, terms, decay = spectrum._shooting_mesh(1.0, ALPHA_23, 10.0, 1000)
-    for a in (xs, decay, *terms):
+    xs, terms = spectrum._shooting_mesh(1.0, ALPHA_23, 10.0, 1000)
+    for a in (xs, *terms):
         with pytest.raises(ValueError, match="read-only"):
             a[0] = 0.0
 
@@ -366,18 +365,20 @@ def test_real_spectrum_refinement_rounds(monkeypatch, alpha, n, most):
     assert rounds[0] == n and len(rounds) <= most
 
 
-@pytest.mark.parametrize("alpha, n", [(0.2, 22), (ALPHA_23, 93)])
-def test_real_spectrum_refuses_an_underflowed_pair(alpha, n):
-    # (y, y') is subnormal at 0 near the top eigenvalue: y(0; t) is exactly
-    # 0 over 2e-8 around t_93 at alpha 2/3, and a root of y(0; t) near t_22
-    # at alpha 0.2 moves 1.8e-8 with a 5 % longer X
-    with pytest.raises(BracketError, match="underflows"):
-        real_spectrum(alpha, n)
+@pytest.mark.parametrize("alpha, n, below", [(0.2, 22, 21), (ALPHA_23, 93, 90), (0.2, 30, 22)])
+def test_real_spectrum_solves_high_modes(alpha, n, below):
+    # a shoot damped by a factor that ignores t underflows at 0 from these n
+    # on; the modes shared with the shorter truncation of n = below agree
+    # with it, and the new ones follow the asymptotic law ever closer
+    ts = np.array(real_spectrum(alpha, n))
+    assert_allclose(ts[:below], real_spectrum(alpha, below), rtol=1e-10, atol=0.0)
+    dev = np.abs(ts / np.array([t_asymptotic(k, alpha) for k in range(1, n + 1)]) - 1.0)
+    assert np.all(np.diff(dev[below - 1 :]) < 0.0) and dev[-1] < 1e-4
 
 
 @pytest.mark.parametrize("alpha, n, top", [(0.2, 21, 2.561683078021068), (ALPHA_23, 90, 21.878530643862444)])
 def test_real_spectrum_below_the_underflow(alpha, n, top):
-    # the highest modes that still solve; top is t_n as refined on y(0; t)
+    # top is t_n as refined on y(0; t) itself, not on the Prufer sine
     assert abs(real_spectrum(alpha, n)[-1] - top) < 1e-10
 
 
@@ -402,10 +403,10 @@ def test_real_spectrum_refuses_a_disagreeing_count(monkeypatch):
         real_spectrum(2.0, 4, tol=1e-9)
 
 
-def test_real_spectrum_alpha02_raises():
-    # the scaled amplitude of y(.; t) underflows to 0 on this long truncation
-    with pytest.raises(BracketError, match="underflows"):
-        real_spectrum(0.2, 30)
+def test_real_spectrum_alpha2_exact_to_mode_300():
+    # a shoot damped by a factor that ignores t underflows at 0 from n = 212 on
+    ts = np.array(real_spectrum(2.0, 300))
+    assert np.max(np.abs(ts / (4.0 * np.arange(1, 301) - 1.0) - 1.0)) < 1e-12
 
 
 def test_real_spectrum_roots_are_sign_changes_of_the_proxy():
@@ -567,20 +568,41 @@ def test_complex_spectrum_polishes_in_one_muller_round(monkeypatch, n, arg):
     assert lanes == [3 * n, n]
 
 
-def test_complex_spectrum_refuses_high_modes_off_the_real_axis():
-    # at coupling angle 1 the proxy of mode 20 at arg c = 1 floors near 2e-70,
-    # a thousandth of its probe median, out of Muller's reach; on the ray
-    # turned to angle 0.05 these modes solve
+def test_complex_spectrum_polishes_the_ratio_that_no_damping_changes(monkeypatch):
+    # the proxy is m = y(0)/y'(0) of the damped shoot, which equals the ratio
+    # of the undamped march at every lambda, off the real axis too
+    import wkbspec.spectrum as spectrum
+
+    proxies, muller = [], spectrum.muller_many
+
+    def recorded(f_many, seeds, tol):
+        proxies.append(f_many)
+        return muller(f_many, seeds, tol)
+
+    monkeypatch.setattr(spectrum, "muller_many", recorded)
+    spec = OperatorSpec.for_modes(cmath.exp(0.03j), ALPHA_23, 3)  # the ray is the real axis
+    complex_spectrum(spec, 3)
+    lams = np.array([1.2, 3.0 + 0.5j, 5.0 - 1.0j])
+    m = proxies[0](lams)
+    for lam, got in zip(lams, m):
+        y, yp = _march_nodes(spec, inward=True, lam=lam)
+        assert abs(got / (y[0] / yp[0]) - 1.0) < 1e-12
+
+
+def test_complex_spectrum_solves_high_modes_off_the_real_axis():
+    # at coupling angle 1 the proxy's noise floor keeps Muller from settling
+    # on every mode up to 20; on the ray turned to angle 0.05 these modes solve
     for n, arg in ((20, 1.0), (30, 1.5), (20, 0.5)):
         ref = np.array(real_spectrum(ALPHA_23, n))
         for modulus in (1.0, 1.3):
             res = complex_spectrum(OperatorSpec.for_modes(modulus * cmath.exp(1j * arg), ALPHA_23, n), n)
             assert_allclose(res.t_values, ref, rtol=1e-10, atol=0.0)
-    # known defect: at alpha = 1/2 the lambda-free interval factor damps the
-    # proxy of mode 40 below what Muller can polish, on the real axis and off it
+    # a lambda-free damping puts y(0) of mode 40 at alpha = 1/2 below what
+    # Muller can polish; the ratio y(0)/y'(0) drops every damping factor
+    ref = np.array(real_spectrum(0.5, 40))
     for c in (1.0, cmath.exp(1.0j)):
-        with pytest.raises(ConvergenceError, match="did not converge after 60 rounds"):
-            complex_spectrum(OperatorSpec.for_modes(c, 0.5, 40), 40)
+        res = complex_spectrum(OperatorSpec.for_modes(c, 0.5, 40), 40)
+        assert_allclose(res.t_values, ref, rtol=1e-10, atol=0.0)
 
 
 def test_complex_spectrum_simplicity_separation():

@@ -11,10 +11,10 @@ from wkbspec.stokes import (
     build_stokes_graph,
     classify_crossings,
     launch_angles,
-    numerical_ray_extremum,
     ray_crossing_report,
     ray_extremum,
     trace_stokes_curve,
+    _ray_extrema,
 )
 
 GAMMA = math.pi / 8.0
@@ -340,7 +340,7 @@ def test_ray_extremum_monotone_regime():
 def test_numerical_ray_extremum_monotone_regime(psi):
     # regime 2: Re S is monotone along the ray, the scan finds no extremum
     assert ray_extremum(GAMMA, psi) is None
-    assert numerical_ray_extremum(psi, GAMMA) is None
+    assert _ray_extrema([psi], GAMMA)[0] == math.inf
 
 
 def test_ray_extremum_formula_value():
@@ -352,7 +352,7 @@ def test_ray_extremum_formula_value():
 @pytest.mark.parametrize("psi", [math.pi / 16.0, 2.0 * math.pi - 3.0 * GAMMA + 0.01])
 def test_ray_extremum_matches_numerical(psi):
     tau0, _ = ray_extremum(GAMMA, psi)
-    tnum = numerical_ray_extremum(psi, GAMMA)
+    tnum = _ray_extrema([psi], GAMMA)[0]
     assert abs(tau0 - tnum) < 1e-8
 
 
@@ -361,7 +361,7 @@ def test_numerical_ray_extremum_small_tau0(gamma, psi):
     # the first regime-3 psi of a 50-per-regime sweep: tau0 = 0.0075, so the
     # slope scan must start well below it
     tau0, _ = ray_extremum(gamma, psi)
-    assert abs(tau0 - numerical_ray_extremum(psi, gamma)) < 1e-10
+    assert abs(tau0 - _ray_extrema([psi], gamma)[0]) < 1e-10
 
 
 @pytest.mark.parametrize("gamma", [0.01, GAMMA, 0.78])
@@ -382,11 +382,11 @@ def test_sweep_records_carry_the_extremum_error(gamma, monkeypatch):
             assert chk.extremum_error is None
             continue
         assert chk.extremum_error < 1e-8
-        # numerical_ray_extremum is the one-psi view of the same path: its lane
-        # lies on [0, 1] instead of [2 j, 2 j + 1], which moves the refined
-        # root by a few ulp of the lane abscissa times the scan interval
+        # the one-psi sweep takes the same path: its lane lies on [0, 1]
+        # instead of [2 j, 2 j + 1], which moves the refined root by a few
+        # ulp of the lane abscissa times the scan interval
         tau0 = chk.report.extremum[0]
-        assert abs(abs(tau0 - numerical_ray_extremum(chk.psi, gamma)) - chk.extremum_error) <= 1e-12 * tau0
+        assert abs(abs(tau0 - _ray_extrema([chk.psi], gamma)[0]) - chk.extremum_error) <= 1e-12 * tau0
 
 
 def test_extremum_dichotomy_on_psi_grid():
@@ -544,6 +544,6 @@ def test_crossing_report_argument_validation():
     with pytest.raises(ValueError):
         ray_crossing_report(0.5, 1.0)  # gamma outside (0, pi/4)
     with pytest.raises(ValueError):
-        numerical_ray_extremum(0.5, math.pi / 4.0)
+        _ray_extrema([0.5], math.pi / 4.0)
     with pytest.raises(ValueError):
         ray_extremum(GAMMA, GAMMA)
