@@ -1,8 +1,8 @@
 """Numerical toolkit for the half-line operator family -y'' + c x^a y:
-spectra via complex shooting, Stokes-graph geometry of the associated
-quadratic potentials, branch-tracked action integrals, and the
-transcendental threshold angle bounding the completeness sector of the
-a = 2/3 operator.
+spectra from real shooting and the complex dilation, Stokes-graph
+geometry of the associated quadratic potentials, branch-tracked action
+integrals, and the transcendental threshold angle bounding the
+completeness sector of the a = 2/3 operator.
 """
 
 __version__ = "0.1.0"

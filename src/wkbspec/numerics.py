@@ -1,7 +1,8 @@
 """Self-contained numerical kernels: Gamma, cached Gauss-Legendre nodes,
-contour and bracket types, and root finding (one bracketed refiner for real
-roots, one batched Muller for complex ones).  The ODE solves live with
-their only user, the Magnus transfer kernel in wkbspec.spectrum.
+contour and bracket types, and one bracketed root refiner for real roots
+(complex eigenvalues need none: they are scaled real ones).  The ODE
+solves live with their only user, the Magnus transfer kernel in
+wkbspec.spectrum.
 
 All functions are pure; nothing here keeps module-level mutable state, so
 everything is safe to call concurrently.
@@ -9,7 +10,6 @@ everything is safe to call concurrently.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -24,7 +24,6 @@ __all__ = [
     "Bracket",
     "Contour",
     "gamma_fn",
-    "muller_many",
     "refine_brackets",
 ]
 
@@ -200,82 +199,3 @@ def refine_brackets(
     if np.any(np.abs(b - a) > tol):
         raise ConvergenceError("bracket refinement did not reach tolerance")
     return np.minimum(a, b), np.maximum(a, b)
-
-
-def _muller_step(x: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """Next Muller iterate per column of the (3, k) point and value arrays.
-
-    Falls back to a secant step where the parabola degenerates, and to a
-    small relative nudge of the newest point where that is undefined too.
-    """
-    with np.errstate(divide="ignore", invalid="ignore"):
-        h1 = x[1] - x[0]
-        h2 = x[2] - x[1]
-        d1 = (f[1] - f[0]) / h1
-        d2 = (f[2] - f[1]) / h2
-        dd = (d2 - d1) / (h2 + h1)
-        b = d2 + h2 * dd
-        disc = np.sqrt(b * b - 4.0 * f[2] * dd)
-        den = np.where(np.abs(b + disc) >= np.abs(b - disc), b + disc, b - disc)
-        secant = x[2] - f[2] * (x[2] - x[1]) / (f[2] - f[1])
-        nxt = np.where(den == 0, secant, x[2] - 2.0 * f[2] / den)
-    return np.where(np.isfinite(nxt), nxt, x[2] * (1.0 + 1e-6))
-
-
-def muller_many(
-    f_many: Callable, seeds, tol: float, max_iter: int = 60
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Muller's method for a batch of complex roots, one per seed.
-
-    f_many maps an array of points to an array of values; each round makes
-    one call with the unconverged lanes only, and the probe triangle of
-    every seed is evaluated in a single call.  The seed is the newest vertex
-    of its triangle, the other two sit at radius h = 1e-3 max(1, |seed|)
-    from it, so the first step starts from the seed: from a seed close to a
-    simple root it lands on the root in one round.  k = 1 is the scalar case.
-    A lane converges when |f| < tol * median |f| over its probe triangle,
-    or when its step falls below 1e-12 |x| while that scaled residual is
-    below sqrt(tol): a function evaluated with relative noise can floor out
-    above tol * median while the iterate is resolved to machine precision.
-
-    Returns (roots, scaled_residuals); raises ConvergenceError when a lane
-    has not converged after max_iter rounds.
-    """
-    if not tol > 0.0:
-        raise ValueError("tol must be positive")
-    seeds = np.atleast_1d(np.asarray(seeds, dtype=complex))
-    k = len(seeds)
-    h = 1e-3 * np.maximum(1.0, np.abs(seeds))
-    turn = cmath.exp(2j * math.pi / 3)
-    pts = np.stack([seeds + h * turn, seeds + h * turn.conjugate(), seeds])
-    # a copy: the rounds below write into vals, and f_many may keep what it returns
-    vals = np.array(f_many(pts.reshape(-1)), dtype=complex).reshape(3, k)
-    # the median of each probe triple, as its middle value: np.median imports
-    # numpy.ma on first use; a NaN sorts last and makes the median NaN
-    mags = np.sort(np.abs(vals), axis=0)
-    f_scale = np.where((mags[1] > 0) & ~np.isnan(mags[2]), mags[1], 1.0)
-
-    roots = seeds.copy()
-    resid = np.full(k, np.inf)
-    active = np.arange(k)
-    for _ in range(max_iter):
-        if active.size == 0:
-            break
-        cand = _muller_step(pts[:, active], vals[:, active])
-        fc = np.asarray(f_many(cand), dtype=complex)
-        step = np.abs(cand - pts[2, active])
-        pts[:, active] = np.stack([pts[1, active], pts[2, active], cand])
-        vals[:, active] = np.stack([vals[1, active], vals[2, active], fc])
-        r = np.abs(fc) / f_scale[active]
-        stalled = (step < 1e-12 * np.maximum(1.0, np.abs(cand))) & (r < math.sqrt(tol))
-        done = (r < tol) | stalled
-        roots[active[done]] = cand[done]
-        resid[active[done]] = r[done]
-        active = active[~done]
-    if active.size:
-        raise ConvergenceError(
-            f"{active.size} of {k} Muller lane(s) did not converge after {max_iter} rounds"
-        )
-    return roots, resid
-
-

@@ -1,36 +1,35 @@
 """Spectra of the half-line Dirichlet operator -y'' + c x^a y.
 
-The eigenvalues obey lambda_n = c^{2/(a+2)} t_n with t_n > 0 independent of
-c, so the real reference spectrum (c = 1) anchors everything: complex
-eigenvalues are polished zeros of a spectral-determinant proxy, the inverse
-operator acts through the Green kernel built from the two distinguished
-homogeneous solutions, and the singular values are 1/|lambda_n|.
+For |arg c| < pi the complex dilation x -> c^{-1/(a+2)} x maps the operator
+onto c^{2/(a+2)} times the c = 1 one, and the family is holomorphic of
+type A (Reed & Simon IV, section XIII.10; Davies, Proc. R. Soc. A 455,
+1999), so lambda_n = c^{2/(a+2)} t_n exactly, with t_n > 0 the real
+reference spectrum (c = 1).  That spectrum anchors everything: the complex
+eigenvalues are its scaled values, the inverse operator acts through the
+Green kernel built from the two distinguished homogeneous solutions, and
+the singular values are 1/|lambda_n|.
 
 Every ODE solve goes through one kernel, the sixth-order three-point Gauss
 Magnus transfer matrix of y'' = (c x^a - lambda) y over an interval
 (_magnus), on one mesh x = X s^2 whose size follows the problem's spectral
-window (_mesh_size), never the batch.  The spectra shoot the solution that
-decays at infinity inward from the truncation radius X with a WKB seed,
-each step damped by its own WKB growth (scaled shooting; Pryce, Numerical
-Solution of Sturm-Liouville Problems, 1993), so (y, y') stays in range at
-0 for every lambda up to a positive factor common to both.  They read
-only what that factor cannot change: the determinant proxy of complex
-spectra is the Weyl-Titchmarsh ratio m(lambda) = y(0)/y'(0), meromorphic
-in lambda with the eigenvalues as zeros.  The reference spectrum is
-bracketed between asymptotic-law points, and each bracket is certified by
-a Sturm oscillation count: the number of zeros of the decaying solution
-y(.; t) on (0, X), counted as sign changes at the mesh nodes, is the
-number of eigenvalues below t; the roots are refined on the Prufer sine of
-(y, y') at 0, which has the sign of y(0; t) but no spread of magnitudes.
-Every chain of matrices comes from one
-generator of blocks (_blocks), which slices the lambda-free terms of the
-step, built once per path and cached per shooting mesh (_shooting_mesh): the
-proxy multiplies each block pairwise, and the count, the Green-kernel
-pair and the eigenfunctions take every node value from a prefix product
-over the same blocks (_node_values); the pair and the eigenfunctions run
-on the mesh joined with the caller's grid.  Complex spectra are polished
-from the scaled reference on a rotated ray, which keeps the proxy's zeros
-accurate over the whole sector |arg c| < pi.
+window (_mesh_size), never the batch, and is refused above a fixed budget.
+The reference spectrum shoots the solution that decays at infinity inward
+from the truncation radius X with a WKB seed, each step damped by its own
+WKB growth (scaled shooting; Pryce, Numerical Solution of Sturm-Liouville
+Problems, 1993), so (y, y') stays in range at 0 for every t up to a
+positive factor common to both.  It is bracketed between asymptotic-law
+points, and each bracket is certified by a Sturm oscillation count: the
+number of zeros of the decaying solution y(.; t) on (0, X), counted as sign
+changes at the mesh nodes, is the number of eigenvalues below t; the roots
+are refined on the Prufer sine of (y, y') at 0, which has the sign of
+y(0; t) but no spread of magnitudes.  Every chain of matrices comes from
+one generator of blocks (_blocks), which slices the lambda-free terms of
+the step, built once per path and cached per shooting mesh
+(_shooting_mesh): the shoot multiplies each block pairwise, and the count,
+the Green-kernel pair and the eigenfunctions take every node value from a
+prefix product over the same blocks (_node_values); the pair and the
+eigenfunctions run undamped at the complex c of the problem, on the mesh
+joined with the caller's grid.
 """
 
 from __future__ import annotations
@@ -43,14 +42,8 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .errors import (
-    BracketError,
-    NumericsError,
-    OverflowGuardError,
-    SignAnomalyError,
-    WronskianError,
-)
-from .numerics import _leggauss, muller_many, refine_brackets
+from .errors import BracketError, OverflowGuardError, WronskianError
+from .numerics import _leggauss, refine_brackets
 
 __all__ = [
     "OperatorSpec",
@@ -72,8 +65,9 @@ _OVERFLOW_BOUND = 1e300
 # bytes of each matrix-entry array in one block of _blocks: 4096 complex or
 # 8192 real (interval, lambda) pairs
 _BLOCK_BYTES = 1 << 16
-# fewest intervals of a shooting mesh (_mesh_size)
+# fewest and most intervals of a mesh (_mesh_size)
 _MIN_INTERVALS = 1000
+_MAX_INTERVALS = 1 << 21
 # e-folds the decaying solution must keep on the other one in eigenfunction
 _SUPPRESSION = 16.0
 
@@ -141,7 +135,6 @@ class SampledFunction:
 class SpectrumResult:
     eigenvalues: Tuple[complex, ...]
     t_values: Tuple[float, ...]
-    residuals: Tuple[float, ...]
     asymptotic_deviation: Tuple[float, ...]
 
 
@@ -293,11 +286,11 @@ def _magnus(terms, lam, damped=False):
     with lam, and exp(Omega) = cosh(mu) I + sinh(mu)/mu Omega with
     mu^2 = w^2 + e f.  The terms and lam broadcast against each other.
     Returns the entries (m11, m12, m21, m22) mapping (y, y') at x0 to
-    (y, y') at x1; undamped, each has determinant 1.  damped multiplies each
-    matrix by exp(-|h| Re sqrt(c q2 - lam)) = exp(-Re sqrt(h p)), the
+    (y, y') at x1; undamped, each has determinant 1.  damped, for real
+    terms and lam only, multiplies each matrix by
+    exp(-|h| sqrt(max(c q2 - lam, 0))) = exp(-sqrt(max(h p, 0))), the
     inverse of the step's WKB growth at its midpoint, which is 1 where the
-    solution oscillates; Re sqrt(h p) is sqrt(max(h p, 0)) on real lanes and
-    sqrt((|h p| + Re h p)/2) on complex ones.
+    solution oscillates.
     """
     e, w0, w1, f0, f1, h, cq2 = terms
     p = h * (cq2 - lam)
@@ -305,8 +298,8 @@ def _magnus(terms, lam, damped=False):
     f = f0 + f1 * p
     cosh, sinhc = _cosh_sinhc(w * w + e * f)
     if damped:  # real arithmetic, in place: this runs on every (interval, lambda)
-        hp = h * p
-        growth = 0.5 * (np.abs(hp) + hp.real) if np.iscomplexobj(hp) else np.maximum(hp, 0.0, out=hp)
+        growth = h * p
+        np.maximum(growth, 0.0, out=growth)
         np.sqrt(growth, out=growth)
         scale = np.exp(np.negative(growth, out=growth), out=growth)
         cosh *= scale
@@ -327,14 +320,22 @@ def _mesh_size(c, alpha: float, X: float, lam_top: float = 0.0) -> int:
     by at most 2/3 below L, and spans at most 16 e-foldings of the WKB
     growth at X, which the damping of each step (_magnus), taken at its
     midpoint, cancels only in part.  N depends on the problem (c, alpha, X
-    and lam_top) only, never on the spectral parameters of one batch.
+    and lam_top) only, never on the spectral parameters of one batch.  Every
+    shoot, count, march and _suppression sizes its mesh here, so an N above
+    _MAX_INTERVALS raises ValueError before anything is allocated.
     """
     top = max(float(lam_top), abs(c) * (X / 1.5) ** alpha)
-    return max(
+    n = max(
         _MIN_INTERVALS,
         math.ceil(3.0 * X * math.sqrt(top)),
         math.ceil(X * math.sqrt(abs(c) * X**alpha) / 8.0),
     )
+    if n > _MAX_INTERVALS:
+        raise ValueError(
+            f"the mesh would need {n} intervals, above the budget of {_MAX_INTERVALS}: "
+            f"alpha = {alpha!r}, |c| = {abs(c)!r} and X = {X!r} are too large together"
+        )
+    return n
 
 
 def _mesh(X: float, n: int = _MIN_INTERVALS) -> np.ndarray:
@@ -378,48 +379,43 @@ def _blocks(terms, lam, damped=False):
         yield _magnus(tuple(t[i : i + rows][lane] for t in terms), lam, damped)
 
 
-@lru_cache(maxsize=8, typed=True)
-def _shooting_mesh(c, alpha: float, X: float, n: int):
-    """(xs, terms) of a shooting mesh: the nodes _mesh(X, n) and the
-    _magnus_terms of its intervals.
+@lru_cache(maxsize=8)
+def _shooting_mesh(alpha: float, X: float, n: int):
+    """(xs, terms) of a shooting mesh at c = 1: the nodes _mesh(X, n) and
+    the real _magnus_terms of its intervals.
 
     The terms do not depend on lambda, so every shoot and count on one mesh
     shares them.  The arrays are read-only.  The cache holds 8 meshes, not a
-    number of bytes: each keeps about 112 bytes per interval for complex c
-    (64 for real), so a large user-given X keeps its large mesh after the
-    call returns.  typed: c = 1.0 and 1 + 0j are equal and hash alike, but
-    a real shoot needs real terms.
+    number of bytes: each keeps about 64 bytes per interval, so a large
+    user-given X keeps its large mesh after the call returns.
     """
     xs = _mesh(X, n)
-    terms = _magnus_terms(c, alpha, xs[:-1], xs[1:])
+    terms = _magnus_terms(1.0, alpha, xs[:-1], xs[1:])
     for a in (xs, *terms):
         a.flags.writeable = False
     return xs, terms
 
 
-def _shoot_many(c: complex, alpha: float, lams: np.ndarray, X: float) -> Tuple[np.ndarray, np.ndarray]:
-    """Damped (y(0; lambda), y'(0; lambda)) for a batch of spectral parameters.
+def _shoot_many(alpha: float, lams: np.ndarray, X: float) -> Tuple[np.ndarray, np.ndarray]:
+    """Damped real (y(0; t), y'(0; t)) at c = 1 for a batch of real t = lams.
 
     Chains Magnus transfer matrices from the WKB seed at X down to 0 on the
-    mesh of _mesh_size(c, alpha, X) intervals, which the batch
-    does not change.  Every step is damped by its own WKB growth (_magnus),
-    so the pair stays in range, up to a positive factor that depends on
-    lambda and cancels from the Prufer sine and the ratio y(0)/y'(0).  The
-    matrices of each block of _blocks are multiplied pairwise in log
-    depth, one level replacing the last.  Both values pass _guard.
+    mesh of _mesh_size(1, alpha, X) intervals, which the batch does not
+    change.  Every step is damped by its own WKB growth (_magnus), so the
+    pair stays in range, up to a positive factor that depends on t and
+    cancels from the signs and the Prufer sine.  The matrices of each block
+    of _blocks are multiplied pairwise in log depth, one level replacing
+    the last.  Both values pass _guard.
     """
-    c = complex(c)
-    lams = np.asarray(lams).reshape(-1)
-    if c.imag == 0.0 and np.isrealobj(lams):
-        c = c.real  # real coupling and parameters: real arithmetic throughout
-    terms = _shooting_mesh(c, alpha, X, _mesh_size(c, alpha, X))[1]
-    y, yp = _wkb_seed(c, alpha, X)
+    lams = np.asarray(lams, dtype=float).reshape(-1)
+    terms = _shooting_mesh(alpha, X, _mesh_size(1.0, alpha, X))[1]
+    y, yp = _wkb_seed(1.0, alpha, X)
     for m in _blocks(terms, lams, damped=True):
         while len(m[0]) > 1:
             m = _pair_products(m)
         a, b, cc, d = (e[0] for e in m)
         y, yp = a * y + b * yp, cc * y + d * yp
-    return _guard(y).astype(complex), _guard(yp).astype(complex)
+    return _guard(y), _guard(yp)
 
 
 def _pair_products(m):
@@ -514,7 +510,7 @@ def _oscillation_count(alpha: float, ts: np.ndarray, X: float) -> Tuple[np.ndarr
     value is not finite.
     """
     ts = np.asarray(ts, dtype=float)
-    xs, terms = _shooting_mesh(1.0, alpha, X, _mesh_size(1.0, alpha, X))
+    xs, terms = _shooting_mesh(alpha, X, _mesh_size(1.0, alpha, X))
     bound = float(np.max(xs[:-1] - xs[1:])) * math.sqrt(float(np.max(ts)))
     if not bound < 2.0:
         raise BracketError(
@@ -589,47 +585,28 @@ def _real_spectrum_cached(
         )
 
     def prufer_sine(t):
-        y, yp = _shoot_many(1.0, alpha, t, X)
-        return _prufer_sine(t, y.real, yp.real)
+        return _prufer_sine(t, *_shoot_many(alpha, t, X))
 
     lo, hi = refine_brackets(prufer_sine, ts[:-1], ts[1:], sines[:-1], sines[1:], tol)
     return tuple(float(r) for r in 0.5 * (lo + hi))
 
 
 # ---------------------------------------------------------------------------
-# complex spectrum via batched Muller polishing
+# complex spectrum by the dilation identity
 # ---------------------------------------------------------------------------
 
-def complex_spectrum(spec: OperatorSpec, n_max: int, tol: float = 1e-9) -> SpectrumResult:
-    """Eigenvalues of -y'' + c x^a y, polished on the determinant proxy.
+def complex_spectrum(spec: OperatorSpec, n_max: int) -> SpectrumResult:
+    """First n_max eigenvalues of -y'' + c x^a y: lambda_n = c^{2/(a+2)} t_n.
 
-    The proxy is the ratio m(lambda) = y(0)/y'(0) of the damped shoot
-    (_shoot_many), from which every damping factor cancels; its poles are
-    the Neumann eigenvalues of the truncated problem.  It is shot along the
-    ray x = r e^{i phi}, r in [0, X], with
-    phi = (clip(arg c, -0.05, 0.05) - arg c)/(a + 2): there
-    y(r) = Y(r e^{i phi}) solves y'' = (c e^{i(a+2)phi} r^a - lambda e^{2i phi}) y,
-    whose coupling has |arg| <= 0.05, and keeps the Dirichlet condition at
-    0, the decay at infinity and so the zeros in lambda.  The proxy's noise
-    floor grows with the mode and with the coupling's angle: at angle 1,
-    Muller does not settle on every mode up to 20 of alpha = 2/3 in 60
-    rounds; at angle 0.05 they polish to within 4e-13 of the scaled
-    reference.  For |arg c| <= 0.05 the ray is the real axis; the coupling
-    is never turned to arg 0, so the check against the c = 1 reference
-    below stays independent.  Seeds at the scaled reference c^{2/(a+2)} t_n,
-    which sits on the root to the reference's tolerance; the seed is a
-    vertex of its Muller probe triangle, so one round polishes it to the
-    proxy's.  Every polished root is verified to be c^{2/(a+2)} times a
-    positive real that matches the c = 1 reference spectrum to relative
-    1e-6 (the scaling law is exact, so a violation is an implementation-bug
-    signal, not a physical possibility).  The check does not lean on the
-    seed: a proxy whose zeros sit 1e-5 off the scaled reference still
-    polishes to them and is refused.
+    The identity is exact for |arg c| < pi (module docstring), with the
+    principal power and t_n the memoized c = 1 reference spectrum
+    (real_spectrum), so the eigenvalues carry its accuracy, scaled by
+    |c|^{2/(a+2)}.  A truncation spec.X shorter than the turning-point
+    radius of the top mode raises ValueError, so the spec is one on which
+    eigenfunction and apply_inverse can resolve those modes.
     """
-    if not tol > 0:
-        raise ValueError("tol must be positive")
     alpha = spec.alpha
-    # turning-point radius of the largest seed: |lambda| = |c|^{2/(a+2)} t,
+    # turning-point radius of the top mode: |lambda| = |c|^{2/(a+2)} t,
     # so (|lambda|/|c|)^{1/a} = t^{1/a} |c|^{-1/(a+2)}
     x_needed = _mode_window(alpha, n_max)[1] * abs(spec.c) ** (-1.0 / (alpha + 2.0))
     if spec.X < x_needed:
@@ -639,38 +616,10 @@ def complex_spectrum(spec: OperatorSpec, n_max: int, tol: float = 1e-9) -> Spect
     scale_c = cmath.exp((2.0 / (alpha + 2.0)) * cmath.log(spec.c))
     t_ref = np.array(real_spectrum(alpha, n_max))
     t_asym = np.array([t_asymptotic(n, alpha) for n in range(1, n_max + 1)])
-
-    arg = cmath.phase(spec.c)
-    phi = (min(max(arg, -0.05), 0.05) - arg) / (alpha + 2.0)
-    c_ray, lam_turn = spec.c * cmath.exp(1j * (alpha + 2.0) * phi), cmath.exp(2j * phi)
-    roots, resid = muller_many(
-        lambda lams: np.divide(*_shoot_many(c_ray, alpha, lams * lam_turn, spec.X)), scale_c * t_ref, tol
-    )
-
-    # scaling-law verification against the real reference spectrum
-    t_rec = roots / scale_c
-    not_real = (np.abs(t_rec.imag) > 1e-6 * np.abs(t_rec.real)) | (t_rec.real <= 0)
-    mismatch = np.abs(t_rec.real - t_ref) > 1e-6 * t_ref
-    bad = np.flatnonzero(not_real | mismatch)
-    if bad.size:
-        j = int(bad[0])
-        if not_real[j]:
-            raise SignAnomalyError(f"recovered t_{j+1} = {complex(t_rec[j])} is not positive real")
-        raise SignAnomalyError(
-            f"t_{j+1} mismatch: polished {float(t_rec[j].real)!r} vs reference {float(t_ref[j])!r}"
-        )
-    gap = np.abs(roots[:, None] - roots[None, :])
-    near = np.triu(gap < tol * np.maximum(1.0, np.abs(roots))[:, None], k=1)
-    if near.any():
-        i, j = np.argwhere(near)[0]
-        raise NumericsError(f"polished roots {i+1} and {j+1} collided")
-
-    order = np.argsort(t_rec.real)
     return SpectrumResult(
-        eigenvalues=tuple(roots[order].tolist()),
-        t_values=tuple(t_rec.real[order].tolist()),
-        residuals=tuple(resid[order].tolist()),
-        asymptotic_deviation=tuple(np.abs(t_rec.real / t_asym - 1.0)[order].tolist()),
+        eigenvalues=tuple((scale_c * t_ref).tolist()),
+        t_values=tuple(t_ref.tolist()),
+        asymptotic_deviation=tuple(np.abs(t_ref / t_asym - 1.0).tolist()),
     )
 
 
@@ -745,8 +694,7 @@ def eigenfunction(spec: OperatorSpec, lam: complex) -> SampledFunction:
 
     At an eigenvalue this is the eigenfunction (the boundary value y(0)
     vanishes there); away from eigenvalues it is simply the subdominant
-    solution.  The samples lie on the real axis, so the march is not
-    rotated as in complex_spectrum; it runs at the c of spec as given.
+    solution.  The march runs undamped on the real axis, at the c of spec.
 
     Supported range: the decaying solution must outgrow the other one by
     S >= 16 e-folds across [0, X], and the other one may gain at most 16
@@ -801,10 +749,8 @@ def apply_inverse(spec: OperatorSpec, f: SampledFunction) -> SampledFunction:
     The infinite tail of the second integral is truncated at X, which the
     super-exponential decay of v justifies.  y(0) = 0 exactly by
     construction.  The Wronskian is checked constant to relative 1e-6
-    across the grid.  The data and the pair live on the real axis, so
-    nothing is rotated as in complex_spectrum.  Data large enough that y
-    overflows (|f| near the top of the double range) raise
-    OverflowGuardError.
+    across the grid.  Data large enough that y overflows (|f| near the top
+    of the double range) raise OverflowGuardError.
     """
     xs = spec.grid()
     if f.grid.shape != xs.shape or not np.allclose(f.grid, xs, rtol=0, atol=1e-12 * spec.X):

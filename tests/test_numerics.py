@@ -1,4 +1,3 @@
-import cmath
 import math
 
 import mpmath
@@ -8,12 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from wkbspec.errors import BracketError, ConvergenceError, OverflowGuardError
+from wkbspec.errors import BracketError, OverflowGuardError
 from wkbspec.numerics import (
     Bracket,
     Contour,
     gamma_fn,
-    muller_many,
     refine_brackets,
 )
 from wkbspec.spectrum import _cosh_sinhc, _magnus, _magnus_terms, _shoot_many
@@ -133,7 +131,7 @@ def test_shoot_overflow_guard():
     # about e^20000, past the double range before its factor can cancel it
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(OverflowGuardError):
-            _shoot_many(1.0, 2.0, np.array([-1e12]), 10.0)
+            _shoot_many(2.0, np.array([-1e12]), 10.0)
 
 
 # ---------------------------------------------------------------------------
@@ -272,118 +270,6 @@ def test_refine_brackets_refuses_tol_below_float_spacing():
     assert 0.0 < hi[0] - lo[0] <= ulp and lo[0] <= 15927.3 <= hi[0]
 
 
-# ---------------------------------------------------------------------------
-# complex roots
-# ---------------------------------------------------------------------------
-
-def _counted(f):
-    """Vectorize a scalar function and count the batched calls made to it."""
-    calls = []
-
-    def f_many(zs):
-        calls.append(len(zs))
-        return np.array([f(z) for z in zs], dtype=complex)
-
-    return f_many, calls
-
-
-def test_muller_quadratic():
-    roots, _ = muller_many(lambda z: z * z + 1.0, [0.2 + 0.8j], 1e-10)
-    assert abs(roots[0] - 1j) < 1e-10
-
-
-def test_muller_sin():
-    f_many, calls = _counted(cmath.sin)
-    roots, _ = muller_many(f_many, [3.0], 1e-12)
-    assert abs(roots[0] - math.pi) < 1e-12
-    # one call for the probe triangle, then one per iteration
-    assert calls[0] == 3
-    assert len(calls) - 1 <= 10
-
-
-def test_muller_probes_every_seed():
-    # the seed is a vertex of its own probe triangle
-    seeds = np.array([3.0, 0.4j, -2.9 + 0.1j])
-    probes = []
-
-    def f_many(z):
-        probes.append(np.array(z))
-        return np.sin(z) * (z - 0.5j)
-
-    muller_many(f_many, seeds, 1e-12)
-    assert set(seeds.tolist()) <= set(probes[0].tolist())
-
-
-def test_muller_from_a_seed_on_the_root_takes_one_round():
-    # the first step starts from the seed, 1e-11 off a simple root, and lands on it
-    f_many, calls = _counted(cmath.sin)
-    roots, resid = muller_many(f_many, [math.pi * (1.0 + 1e-11)], 1e-12)
-    assert calls == [3, 1]
-    assert abs(roots[0] - math.pi) < 1e-15 and resid[0] < 1e-12
-
-
-def test_muller_reports_iterations_and_residual():
-    f_many, calls = _counted(lambda z: (z - 2.0) * (z + 1.0))
-    roots, resid = muller_many(f_many, [1.5], 1e-10)
-    assert len(calls) - 1 >= 1
-    assert resid.shape == (1,) and resid[0] >= 0.0
-    assert abs(roots[0] - 2.0) < 1e-9
-
-
-def test_muller_no_convergence():
-    with pytest.raises(ConvergenceError):
-        muller_many(lambda z: 1.0 + np.abs(z), [1.0], 1e-12, max_iter=10)
-
-
 def test_solvers_reject_nan_tolerance():
     with pytest.raises(ValueError):
-        muller_many(lambda z: z * z - 2.0, [1.0], math.nan)
-    with pytest.raises(ValueError):
         refine_brackets(lambda x: x * x - 2.0, [1.0], [2.0], [-1.0], [2.0], math.nan)
-
-
-def test_muller_probe_scale_is_the_median():
-    # the residual scale of each lane is the median |f| of its probe triple,
-    # 1.0 where that is 0 or NaN; taken without np.median, it must match it
-    # bit for bit: every lane converges on the first step to |f| = 1e-20,
-    # so its scaled residual is 1e-20 / scale
-    rng = np.random.default_rng(7)
-    mags = 10.0 ** rng.uniform(-8, 8, size=(3, 60))
-    mags[:, :6] = np.transpose([[0, 0, 0], [0, 0, 1], [0, 2, 3], [np.nan, 1, 2], [np.nan] * 3, [np.inf, 1, 2]])
-    probe = mags * np.exp(1j * rng.uniform(-np.pi, np.pi, size=mags.shape))
-    median = np.median(np.abs(probe), axis=0)
-    calls = []
-
-    def f_many(z):
-        calls.append(len(z))
-        return probe.reshape(-1).copy() if len(calls) == 1 else np.full(len(z), 1e-20)
-
-    _, resid = muller_many(f_many, np.arange(60.0), 1e-6)
-    assert np.array_equal(resid, 1e-20 / np.where(median > 0, median, 1.0))
-
-
-def test_muller_many_batch_matches_single_lanes():
-    # lanes converge independently: the batch gives each lane's scalar answer
-    f_many = lambda z: np.sin(z) * (z - 0.5j)
-    seeds = [3.0, 0.4j, -2.9 + 0.1j]
-    roots, resid = muller_many(f_many, seeds, 1e-12)
-    assert_allclose(roots, [math.pi, 0.5j, -math.pi], atol=1e-12)
-    assert np.all(resid < 1e-6)
-    for seed, root in zip(seeds, roots):
-        single, _ = muller_many(f_many, [seed], 1e-12)
-        assert abs(single[0] - root) < 1e-12
-
-
-def test_muller_leaves_the_values_of_f_many_alone():
-    # f_many may return a view of an array it keeps; the probe values are
-    # updated every round, and that must happen in a copy
-    kept = []
-
-    def f_many(z):
-        values = np.sin(z) * (z - 0.5j)
-        kept.append((values, values.copy()))
-        return values[:]
-
-    roots, _ = muller_many(f_many, [3.0, 0.4j], 1e-12)
-    assert_allclose(roots, [math.pi, 0.5j], atol=1e-12)
-    assert len(kept) > 2 and all(np.array_equal(values, copy) for values, copy in kept)

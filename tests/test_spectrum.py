@@ -1,18 +1,13 @@
 import cmath
 import math
+import time
 
 import mpmath
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from wkbspec.errors import (
-    BracketError,
-    OverflowGuardError,
-    SignAnomalyError,
-    WronskianError,
-)
-from wkbspec.numerics import muller_many
+from wkbspec.errors import BracketError, OverflowGuardError, WronskianError
 from wkbspec.spectrum import (
     OperatorSpec,
     SampledFunction,
@@ -171,8 +166,6 @@ def test_non_finite_inputs_rejected(bad):
 def test_spectra_reject_nan_tolerance():
     with pytest.raises(ValueError):
         real_spectrum(2.0, 3, tol=math.nan)
-    with pytest.raises(ValueError):
-        complex_spectrum(OperatorSpec.for_modes(1.0 + 0j, 2.0, 3), 3, tol=math.nan)
 
 
 def test_real_spectrum_alpha1_airy_zeros():
@@ -214,6 +207,17 @@ def test_mesh_size_follows_the_rule(c, alpha, n, size):
     assert _mesh_size(c, alpha, X) == rule == size
 
 
+def test_meshes_over_the_budget_are_refused_before_any_allocation():
+    # 8.5e9 and 1.3e9 intervals: both calls ran out of memory inside numpy
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="8531831893 intervals"):
+        real_spectrum(100.0, 20)
+    spec = OperatorSpec(c=1.0, alpha=40.0, X=3.0)
+    with pytest.raises(ValueError, match="1307544151 intervals"):
+        apply_inverse(spec, SampledFunction(spec.grid(), np.zeros(spec.grid_n)))
+    assert time.perf_counter() - start < 1.0
+
+
 def test_mesh_does_not_depend_on_the_batch(monkeypatch):
     import wkbspec.spectrum as spectrum
 
@@ -229,50 +233,30 @@ def test_mesh_does_not_depend_on_the_batch(monkeypatch):
     cached.cache_clear()
     X = OperatorSpec.for_modes(1.0, 2.0, 100).X
     for lanes in (1, 9, 100):
-        _shoot_many(1.0, 2.0, 4.0 * np.arange(1, lanes + 1) - 1.0, X)
+        _shoot_many(2.0, 4.0 * np.arange(1, lanes + 1) - 1.0, X)
     # the count and every refinement round of one spectrum share one mesh
     spectrum._real_spectrum_cached.cache_clear()
     real_spectrum(2.0, 100)
     assert len(meshes) > 5 and all(xs is meshes[0] for xs in meshes) and len(meshes[0]) == 2335 + 1
 
 
-@pytest.mark.parametrize("c", [1.0, cmath.exp(0.5j)])
-def test_shoot_is_the_same_from_a_cold_and_a_warm_mesh_cache(c):
-    import wkbspec.spectrum as spectrum
-
-    X = OperatorSpec.for_modes(c, ALPHA_23, 10).X
-    lams = np.array(real_spectrum(ALPHA_23, 10)) * (1.0 + 1e-3)
-    if c != 1.0:
-        lams = cmath.exp(0.75 * cmath.log(c)) * lams
-    spectrum._shooting_mesh.cache_clear()
-    cold = _shoot_many(c, ALPHA_23, lams, X)
-    hits = spectrum._shooting_mesh.cache_info().hits
-    warm = _shoot_many(c, ALPHA_23, lams, X)
-    assert spectrum._shooting_mesh.cache_info().hits == hits + 1
-    assert [v.tobytes() for v in warm] == [v.tobytes() for v in cold]
-
-
-def test_real_shoot_after_a_complex_one_keeps_real_terms():
-    # 1.0 == 1 + 0j and both hash alike: an untyped cache hands the real
-    # shoot the complex terms, so its step runs in complex arithmetic and its
-    # values move
+def test_shoot_is_the_same_from_a_cold_and_a_warm_mesh_cache():
     import wkbspec.spectrum as spectrum
 
     X = OperatorSpec.for_modes(1.0, ALPHA_23, 10).X
     ts = np.array(real_spectrum(ALPHA_23, 10)) * (1.0 + 1e-3)
     spectrum._shooting_mesh.cache_clear()
-    cold = _shoot_many(1.0, ALPHA_23, ts, X)
-    spectrum._shooting_mesh.cache_clear()
-    _shoot_many(1.0 + 0j, ALPHA_23, ts.astype(complex), X)
-    warm = _shoot_many(1.0, ALPHA_23, ts, X)
-    for w, c in zip(warm, cold):
-        assert np.all(w.imag == 0.0) and np.array_equal(w, c)
+    cold = _shoot_many(ALPHA_23, ts, X)
+    hits = spectrum._shooting_mesh.cache_info().hits
+    warm = _shoot_many(ALPHA_23, ts, X)
+    assert spectrum._shooting_mesh.cache_info().hits == hits + 1
+    assert [v.tobytes() for v in warm] == [v.tobytes() for v in cold]
 
 
 def test_cached_mesh_arrays_are_read_only():
     import wkbspec.spectrum as spectrum
 
-    xs, terms = spectrum._shooting_mesh(1.0, ALPHA_23, 10.0, 1000)
+    xs, terms = spectrum._shooting_mesh(ALPHA_23, 10.0, 1000)
     for a in (xs, *terms):
         with pytest.raises(ValueError, match="read-only"):
             a[0] = 0.0
@@ -312,8 +296,7 @@ def test_oscillation_count_returns_the_proxy():
         X = default_truncation(alpha, 10.0)
         counts, sines = _oscillation_count(alpha, ts, X)
         assert counts.tolist() == [0, 1, 2]
-        y, yp = _shoot_many(1.0, alpha, ts, X)
-        assert_allclose(sines, _prufer_sine(ts, y.real, yp.real), rtol=1e-10)
+        assert_allclose(sines, _prufer_sine(ts, *_shoot_many(alpha, ts, X)), rtol=1e-10)
 
 
 def test_prufer_sine_keeps_the_sign_of_y():
@@ -414,8 +397,8 @@ def test_real_spectrum_roots_are_sign_changes_of_the_proxy():
     # two values underflows to 0
     ts = np.array(real_spectrum(ALPHA_23, 60))
     X = default_truncation(ALPHA_23, _mode_window(ALPHA_23, 60)[0])
-    lo = _shoot_many(1.0, ALPHA_23, ts * (1.0 - 1e-9), X)[0].real
-    hi = _shoot_many(1.0, ALPHA_23, ts * (1.0 + 1e-9), X)[0].real
+    lo = _shoot_many(ALPHA_23, ts * (1.0 - 1e-9), X)[0]
+    hi = _shoot_many(ALPHA_23, ts * (1.0 + 1e-9), X)[0]
     assert np.all(np.sign(lo) * np.sign(hi) < 0)
 
 
@@ -424,56 +407,44 @@ def test_real_spectrum_roots_are_sign_changes_of_the_proxy():
 # ---------------------------------------------------------------------------
 
 def test_det_vanishes_at_eigenvalue_alpha2():
-    spec = OperatorSpec.for_modes(1.0 + 0j, 2.0, 4)
-    d_eig, d_off = _shoot_many(spec.c, spec.alpha, np.array([3.0, 2.0]), spec.X)[0]
+    X = OperatorSpec.for_modes(1.0, 2.0, 4).X
+    d_eig, d_off = _shoot_many(2.0, np.array([3.0, 2.0]), X)[0]
     assert abs(d_eig) < 1e-7 * abs(d_off)
 
 
 def test_det_nonzero_at_origin():
-    spec = OperatorSpec.for_modes(1.0 + 0j, 2.0, 4)
-    d0, d_half = _shoot_many(spec.c, spec.alpha, np.array([0.0, 1.0]), spec.X)[0]
+    X = OperatorSpec.for_modes(1.0, 2.0, 4).X
+    d0, d_half = _shoot_many(2.0, np.array([0.0, 1.0]), X)[0]
     assert abs(d0) > 1e-3 * abs(d_half)
 
 
 def test_det_zero_at_scaled_eigenvalue_complex_c():
-    c = cmath.exp(1j * math.pi / 3.0)
-    spec = OperatorSpec.for_modes(c, ALPHA_23, 3)
+    # lambda_1 = c^{3/4} t_1 on the real axis: the ratio y(0)/y'(0) of the
+    # undamped complex march vanishes there (measured 1.9e-11 of its value
+    # 2 % away, at every angle)
     t1 = real_spectrum(ALPHA_23, 1)[0]
-    lam = cmath.exp(0.75 * cmath.log(c)) * t1
-    on, off = _shoot_many(spec.c, spec.alpha, np.array([lam, lam * 1.02]), spec.X)[0]
-    assert abs(on) < 1e-6 * abs(off)
+    for arg in (math.pi / 3.0, 1.2, 1.6, -1.6):
+        c = cmath.exp(1j * arg)
+        spec = OperatorSpec.for_modes(c, ALPHA_23, 5)
+        lam = cmath.exp(0.75 * cmath.log(c)) * t1
+        on, off = (y[0] / yp[0] for y, yp in (_march_nodes(spec, inward=True, lam=z) for z in (lam, 1.02 * lam)))
+        assert abs(on) < 1e-6 * abs(off), arg
 
 
-def test_muller_polishes_first_oscillator_eigenvalue():
-    spec = OperatorSpec.for_modes(1.0 + 0j, 2.0, 4)
-    calls = []
-
-    def f_many(zs):
-        calls.append(len(zs))
-        return _shoot_many(spec.c, spec.alpha, zs, spec.X)[0]
-
-    roots, _ = muller_many(f_many, [2.8], 1e-8)
-    assert abs(roots[0] - 3.0) < 1e-7
-    assert calls[0] == 3 and len(calls) - 1 <= 10
-
-
-@pytest.mark.parametrize("c", [1.0, cmath.exp(0.5j)])
-def test_shoot_does_not_depend_on_the_batch(c):
-    # block boundaries follow the lane count and the dtype; the values must not
-    lams = cmath.exp(0.75 * cmath.log(c)) * np.array([t_asymptotic(k, ALPHA_23) for k in range(1, 41)])
-    if c == 1.0:
-        lams = lams.real
-    X = OperatorSpec.for_modes(c, ALPHA_23, 40).X
+def test_shoot_does_not_depend_on_the_batch():
+    # block boundaries follow the lane count; the values must not
+    ts = np.array([t_asymptotic(k, ALPHA_23) for k in range(1, 41)])
+    X = OperatorSpec.for_modes(1.0, ALPHA_23, 40).X
     for lanes in (1, 9, 40):
-        batch = _shoot_many(c, ALPHA_23, lams[:lanes], X)[0]
-        single = np.array([_shoot_many(c, ALPHA_23, lams[k : k + 1], X)[0][0] for k in range(lanes)])
+        batch = _shoot_many(ALPHA_23, ts[:lanes], X)[0]
+        single = np.array([_shoot_many(ALPHA_23, ts[k : k + 1], X)[0][0] for k in range(lanes)])
         assert np.max(np.abs(batch - single)) <= 1e-12 * np.max(np.abs(batch))
 
 
 def test_det_sign_changes_across_real_roots():
     # eigenvalues at 3 and 7: sign flips across each, none between 4 and 6
-    spec = OperatorSpec.for_modes(1.0 + 0j, 2.0, 3)
-    d = _shoot_many(spec.c, spec.alpha, np.array([2.0, 4.0, 6.0, 8.0]), spec.X)[0].real
+    X = OperatorSpec.for_modes(1.0, 2.0, 3).X
+    d = _shoot_many(2.0, np.array([2.0, 4.0, 6.0, 8.0]), X)[0]
     assert d[0] * d[1] < 0.0 and d[1] * d[2] > 0.0 and d[2] * d[3] < 0.0
 
 
@@ -481,11 +452,54 @@ def test_det_sign_changes_across_real_roots():
 # complex spectrum
 # ---------------------------------------------------------------------------
 
+def _fd_eigenvalues(c, alpha, length, intervals, shifts, steps=3):
+    """Eigenvalues near each shift of the second-order finite-difference
+    matrix A of -d^2/dx^2 + c x^a on [0, length], Dirichlet at both ends,
+    with step h = length/intervals.
+
+    A is complex symmetric and tridiagonal.  Shifted inverse iteration, with
+    one Thomas factorization of A - shift per lane, gives each eigenvector v,
+    and the unconjugated quotient v^T A v / v^T v its eigenvalue.
+    """
+    h = length / intervals
+    x = h * np.arange(1, intervals)
+    off = -1.0 / h**2
+    diag = 2.0 / h**2 + c * x**alpha
+    piv = diag[:, None] - np.asarray(shifts)[None, :]
+    mult = np.zeros_like(piv)
+    for i in range(1, len(x)):
+        mult[i] = off / piv[i - 1]
+        piv[i] -= mult[i] * off
+    v = np.ones_like(piv)
+    for _ in range(steps):
+        for i in range(1, len(x)):
+            v[i] -= mult[i] * v[i - 1]
+        v[-1] /= piv[-1]
+        for i in range(len(x) - 2, -1, -1):
+            v[i] = (v[i] - off * v[i + 1]) / piv[i]
+        v /= np.max(np.abs(v), axis=0)
+    av = diag[:, None] * v
+    av[1:] += off * v[:-1]
+    av[:-1] += off * v[1:]
+    return np.sum(v * av, axis=0) / np.sum(v * v, axis=0)
+
+
+@pytest.mark.parametrize("arg", [0.5, 1.0, 1.5, 1.8, -1.8])
+def test_complex_spectrum_matches_finite_differences_on_the_real_axis(arg):
+    # an oracle that shares no code with the library: the operator itself on
+    # [0, 1.3 X] at 1000 and 2000 intervals, Richardson on the h^2 error.
+    # Measured: within 1.2e-8 relative for n <= 5 at each of these angles
+    c = cmath.exp(1j * arg)
+    spec = OperatorSpec.for_modes(c, ALPHA_23, 5)
+    lam = np.array(complex_spectrum(spec, 5).eigenvalues)
+    coarse, fine = (_fd_eigenvalues(c, ALPHA_23, 1.3 * spec.X, n, lam) for n in (1000, 2000))
+    assert np.max(np.abs((4.0 * fine - coarse) / 3.0 / lam - 1.0)) < 5e-8
+
+
 def test_complex_spectrum_alpha2_real_coupling():
     spec = OperatorSpec.for_modes(1.0 + 0j, 2.0, 4)
     res = complex_spectrum(spec, 3)
     assert_allclose(res.t_values, [3.0, 7.0, 11.0], atol=1e-7)
-    assert all(r < 1e-6 for r in res.residuals)
 
 
 def test_complex_spectrum_rotation():
@@ -502,8 +516,7 @@ def test_complex_spectrum_rotation():
 
 @pytest.mark.parametrize("arg", [2.05, 2.2, 2.6, 3.0])
 def test_complex_spectrum_deep_in_the_sector(arg):
-    # past |arg c| = 2 the proxy on the real axis loses its zeros; the
-    # rotated ray keeps them
+    # the dilation identity holds up to |arg c| < pi
     c = cmath.exp(1j * arg)
     res = complex_spectrum(OperatorSpec.for_modes(c, ALPHA_23, 5), 5)
     assert_allclose(res.t_values, real_spectrum(ALPHA_23, 5), rtol=1e-6)
@@ -511,94 +524,12 @@ def test_complex_spectrum_deep_in_the_sector(arg):
         assert abs(cmath.phase(lam) - 0.75 * arg) < 1e-6
 
 
-@pytest.mark.parametrize("arg", [1.2, 1.6, -1.6])
-def test_rotated_and_unrotated_proxies_share_zeros(arg):
-    # x = r e^{i phi} turns y'' = (c x^a - lam) y into
-    # y'' = (c e^{i(a+2)phi} r^a - lam e^{2i phi}) y with the same eigenvalues
-    c = cmath.exp(1j * arg)
-    X = OperatorSpec.for_modes(c, ALPHA_23, 5).X
-    seeds = cmath.exp(0.75j * arg) * np.array(real_spectrum(ALPHA_23, 5))
-    zeros = []
-    for target in (arg, math.copysign(1.0, arg), math.copysign(0.5, arg)):
-        phi = (target - arg) / (ALPHA_23 + 2.0)
-        c_ray, turn = c * cmath.exp(1j * (ALPHA_23 + 2.0) * phi), cmath.exp(2j * phi)
-        roots, _ = muller_many(lambda lams: _shoot_many(c_ray, ALPHA_23, lams * turn, X)[0], seeds, 1e-9)
-        zeros.append(roots)
-    assert_allclose(zeros[1], zeros[0], rtol=1e-6)
-    assert_allclose(zeros[2], zeros[0], rtol=1e-6)
-
-
-@pytest.mark.parametrize("arg", [0.5, 1.6])
-def test_scaling_law_check_refuses_a_shifted_proxy(monkeypatch, arg):
-    # a proxy whose zeros sit 1e-5 off the scaled reference still polishes to
-    # them from a seed on the reference, and the 1e-6 check refuses them
-    import wkbspec.spectrum as spectrum
-
-    shoot = spectrum._shoot_many
-
-    def shifted(c, alpha, lams, X):
-        if isinstance(c, complex):
-            lams = lams * (1.0 + 1e-5)
-        return shoot(c, alpha, lams, X)
-
-    monkeypatch.setattr(spectrum, "_shoot_many", shifted)
-    spec = OperatorSpec.for_modes(cmath.exp(1j * arg), ALPHA_23, 3)
-    with pytest.raises(SignAnomalyError, match="mismatch"):
-        complex_spectrum(spec, 3)
-
-
-@pytest.mark.parametrize(
-    "n, arg", [(3, arg) for arg in (0.0, 0.5, -0.5, 1.4, -1.4, 2.2, -2.2, 3.0)] + [(20, 1.0)]
-)
-def test_complex_spectrum_polishes_in_one_muller_round(monkeypatch, n, arg):
-    # the seed, the scaled reference, is a vertex of its probe triangle, and
-    # Muller's first step from it lands on the root: one shoot of the 3n
-    # probes and one of the n candidates
-    import wkbspec.spectrum as spectrum
-
-    real_spectrum(ALPHA_23, n)  # the memoized reference, shot before counting
-    shoot, lanes = spectrum._shoot_many, []
-
-    def counted(c, alpha, lams, X):
-        lanes.append(len(lams))
-        return shoot(c, alpha, lams, X)
-
-    monkeypatch.setattr(spectrum, "_shoot_many", counted)
-    complex_spectrum(OperatorSpec.for_modes(cmath.exp(1j * arg), ALPHA_23, n), n)
-    assert lanes == [3 * n, n]
-
-
-def test_complex_spectrum_polishes_the_ratio_that_no_damping_changes(monkeypatch):
-    # the proxy is m = y(0)/y'(0) of the damped shoot, which equals the ratio
-    # of the undamped march at every lambda, off the real axis too
-    import wkbspec.spectrum as spectrum
-
-    proxies, muller = [], spectrum.muller_many
-
-    def recorded(f_many, seeds, tol):
-        proxies.append(f_many)
-        return muller(f_many, seeds, tol)
-
-    monkeypatch.setattr(spectrum, "muller_many", recorded)
-    spec = OperatorSpec.for_modes(cmath.exp(0.03j), ALPHA_23, 3)  # the ray is the real axis
-    complex_spectrum(spec, 3)
-    lams = np.array([1.2, 3.0 + 0.5j, 5.0 - 1.0j])
-    m = proxies[0](lams)
-    for lam, got in zip(lams, m):
-        y, yp = _march_nodes(spec, inward=True, lam=lam)
-        assert abs(got / (y[0] / yp[0]) - 1.0) < 1e-12
-
-
 def test_complex_spectrum_solves_high_modes_off_the_real_axis():
-    # at coupling angle 1 the proxy's noise floor keeps Muller from settling
-    # on every mode up to 20; on the ray turned to angle 0.05 these modes solve
     for n, arg in ((20, 1.0), (30, 1.5), (20, 0.5)):
         ref = np.array(real_spectrum(ALPHA_23, n))
         for modulus in (1.0, 1.3):
             res = complex_spectrum(OperatorSpec.for_modes(modulus * cmath.exp(1j * arg), ALPHA_23, n), n)
             assert_allclose(res.t_values, ref, rtol=1e-10, atol=0.0)
-    # a lambda-free damping puts y(0) of mode 40 at alpha = 1/2 below what
-    # Muller can polish; the ratio y(0)/y'(0) drops every damping factor
     ref = np.array(real_spectrum(0.5, 40))
     for c in (1.0, cmath.exp(1.0j)):
         res = complex_spectrum(OperatorSpec.for_modes(c, 0.5, 40), 40)
@@ -607,7 +538,7 @@ def test_complex_spectrum_solves_high_modes_off_the_real_axis():
 
 def test_complex_spectrum_simplicity_separation():
     spec = OperatorSpec.for_modes(1j, ALPHA_23, 4)
-    res = complex_spectrum(spec, 4, tol=1e-9)
+    res = complex_spectrum(spec, 4)
     lams = res.eigenvalues
     for i in range(len(lams)):
         for j in range(i + 1, len(lams)):
