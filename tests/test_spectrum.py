@@ -431,6 +431,22 @@ def test_det_zero_at_scaled_eigenvalue_complex_c():
         assert abs(on) < 1e-6 * abs(off), arg
 
 
+@pytest.mark.parametrize("arg", [1.2, 1.6, -1.6])
+def test_rotated_and_unrotated_proxies_share_zeros(arg):
+    # x = r e^{i phi} turns y'' = (c x^a - lam) y into
+    # y'' = (c e^{i(a+2)phi} r^a - lam e^{2i phi}) y with the same eigenvalues:
+    # the undamped march of every rotated proxy vanishes at lam e^{2i phi}
+    c = cmath.exp(1j * arg)
+    eigs = cmath.exp(0.75j * arg) * np.array(real_spectrum(ALPHA_23, 3))
+    for target in (arg, math.copysign(1.0, arg), math.copysign(0.5, arg)):
+        phi = (target - arg) / (ALPHA_23 + 2.0)
+        c_ray, turn = c * cmath.exp(1j * (ALPHA_23 + 2.0) * phi), cmath.exp(2j * phi)
+        spec = OperatorSpec.for_modes(c_ray, ALPHA_23, 5)
+        for lam in eigs * turn:
+            on, off = (y[0] / yp[0] for y, yp in (_march_nodes(spec, inward=True, lam=z) for z in (lam, 1.02 * lam)))
+            assert abs(on) < 1e-6 * abs(off), (target, lam)
+
+
 def test_shoot_does_not_depend_on_the_batch():
     # block boundaries follow the lane count; the values must not
     ts = np.array([t_asymptotic(k, ALPHA_23) for k in range(1, 41)])
