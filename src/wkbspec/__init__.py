@@ -7,7 +7,7 @@ completeness sector of the a = 2/3 operator.
 
 __version__ = "0.1.0"
 
-from .numerics import Bracket, Contour, gamma_fn
+from .numerics import Bracket, Contour
 from .actions import (
     PotentialQuadratic,
     action_with_phase,
@@ -56,7 +56,6 @@ __all__ = [
     "eigenfunction",
     "f_theta",
     "f_theta_routes",
-    "gamma_fn",
     "half_line_integral_split",
     "homogeneous_pair",
     "ray_crossing_report",

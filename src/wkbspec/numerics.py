@@ -1,4 +1,4 @@
-"""Self-contained numerical kernels: Gamma, cached Gauss-Legendre nodes,
+"""Self-contained numerical kernels: cached Gauss-Legendre nodes,
 contour and bracket types, and one bracketed root refiner for real roots
 (complex eigenvalues need none: they are scaled real ones).  The ODE
 solves live with their only user, the Magnus transfer kernel in
@@ -23,7 +23,6 @@ from .errors import BracketError, ConvergenceError
 __all__ = [
     "Bracket",
     "Contour",
-    "gamma_fn",
     "refine_brackets",
 ]
 
@@ -74,41 +73,6 @@ class Contour:
 
     def segments(self):
         return list(zip(self.nodes[:-1], self.nodes[1:]))
-
-
-# ---------------------------------------------------------------------------
-# Gamma function (Lanczos, g = 7, 9 terms)
-# ---------------------------------------------------------------------------
-
-_LANCZOS_G = 7.0
-_LANCZOS_C = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-06,
-    1.5056327351493116e-07,
-)
-
-
-def gamma_fn(x: float) -> float:
-    """Gamma(x) for real x > 0, relative error below 1e-13 on (0, 30]."""
-    if not (isinstance(x, (int, float)) and math.isfinite(x)):
-        raise ValueError("gamma_fn expects a finite real argument")
-    if x <= 0.0:
-        raise ValueError(f"gamma_fn requires x > 0, got {x}")
-    if x < 0.5:
-        # recurrence keeps the Lanczos core on its accurate range
-        return gamma_fn(x + 1.0) / x
-    z = x - 1.0
-    acc = _LANCZOS_C[0]
-    for i, c in enumerate(_LANCZOS_C[1:], start=1):
-        acc += c / (z + i)
-    t = z + _LANCZOS_G + 0.5
-    return math.sqrt(2.0 * math.pi) * t ** (z + 0.5) * math.exp(-t) * acc
 
 
 # ---------------------------------------------------------------------------

@@ -24,9 +24,10 @@ changes at the mesh nodes, is the number of eigenvalues below t; the roots
 are refined on the Prufer sine of (y, y') at 0, which has the sign of
 y(0; t) but no spread of magnitudes.  Every chain of matrices comes from
 one generator of blocks (_blocks), which slices the lambda-free terms of
-the step, built once per path and cached per shooting mesh
-(_shooting_mesh): the shoot multiplies each block pairwise, and the count,
-the Green-kernel pair and the eigenfunctions take every node value from a
+the step, built once per path: one shooting mesh per reference solve
+(_shooting_mesh), shared by the count and every shoot and dropped with the
+solve.  The shoot multiplies each block pairwise, and the count, the
+Green-kernel pair and the eigenfunctions take every node value from a
 prefix product over the same blocks (_node_values); the pair and the
 eigenfunctions run undamped at the complex c of the problem, on the mesh
 joined with the caller's grid.
@@ -379,37 +380,31 @@ def _blocks(terms, lam, damped=False):
         yield _magnus(tuple(t[i : i + rows][lane] for t in terms), lam, damped)
 
 
-@lru_cache(maxsize=8)
-def _shooting_mesh(alpha: float, X: float, n: int):
-    """(xs, terms) of a shooting mesh at c = 1: the nodes _mesh(X, n) and
-    the real _magnus_terms of its intervals.
+def _shooting_mesh(alpha: float, X: float):
+    """(xs, terms, seed) of the shooting mesh of a reference spectrum at
+    c = 1: the nodes _mesh(X, _mesh_size(1, alpha, X)), the real
+    _magnus_terms of its intervals and the WKB seed at X (_wkb_seed).
 
-    The terms do not depend on lambda, so every shoot and count on one mesh
-    shares them.  The arrays are read-only.  The cache holds 8 meshes, not a
-    number of bytes: each keeps about 64 bytes per interval, so a large
-    user-given X keeps its large mesh after the call returns.
+    None of it depends on lambda.  real_spectrum builds one mesh per solve
+    and passes it to the count and every shoot; it is dropped with the solve.
     """
-    xs = _mesh(X, n)
-    terms = _magnus_terms(1.0, alpha, xs[:-1], xs[1:])
-    for a in (xs, *terms):
-        a.flags.writeable = False
-    return xs, terms
+    xs = _mesh(X, _mesh_size(1.0, alpha, X))
+    return xs, _magnus_terms(1.0, alpha, xs[:-1], xs[1:]), _wkb_seed(1.0, alpha, X)
 
 
-def _shoot_many(alpha: float, lams: np.ndarray, X: float) -> Tuple[np.ndarray, np.ndarray]:
+def _shoot_many(mesh, lams: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Damped real (y(0; t), y'(0; t)) at c = 1 for a batch of real t = lams.
 
-    Chains Magnus transfer matrices from the WKB seed at X down to 0 on the
-    mesh of _mesh_size(1, alpha, X) intervals, which the batch does not
-    change.  Every step is damped by its own WKB growth (_magnus), so the
-    pair stays in range, up to a positive factor that depends on t and
-    cancels from the signs and the Prufer sine.  The matrices of each block
-    of _blocks are multiplied pairwise in log depth, one level replacing
-    the last.  Both values pass _guard.
+    Chains Magnus transfer matrices from the WKB seed at X down to 0 on a
+    _shooting_mesh, which the batch does not change.  Every step is damped
+    by its own WKB growth (_magnus), so the pair stays in range, up to a
+    positive factor that depends on t and cancels from the signs and the
+    Prufer sine.  The matrices of each block of _blocks are multiplied
+    pairwise in log depth, one level replacing the last.  Both values pass
+    _guard.
     """
     lams = np.asarray(lams, dtype=float).reshape(-1)
-    terms = _shooting_mesh(alpha, X, _mesh_size(1.0, alpha, X))[1]
-    y, yp = _wkb_seed(1.0, alpha, X)
+    _xs, terms, (y, yp) = mesh
     for m in _blocks(terms, lams, damped=True):
         while len(m[0]) > 1:
             m = _pair_products(m)
@@ -490,13 +485,13 @@ def _prufer_sine(t: np.ndarray, y: np.ndarray, yp: np.ndarray) -> np.ndarray:
     return ky / radius
 
 
-def _oscillation_count(alpha: float, ts: np.ndarray, X: float) -> Tuple[np.ndarray, np.ndarray]:
+def _oscillation_count(mesh, ts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Zeros of the decaying solution y(.; t) on (0, X) at c = 1, and its
     Prufer sine at 0 (_prufer_sine).
 
     The Sturm oscillation theorem makes the count the number of eigenvalues
     below t.  y is the shooting solution of _shoot_many (WKB seed at X, the
-    same mesh and damping), marched to every mesh node for all t
+    same _shooting_mesh and damping), marched to every mesh node for all t
     at once by _node_values; the sign changes between consecutive nodes
     are summed block by block, so only one block of node values is ever
     held.  Zeros of y'' = (x^a - t) y lie at least pi/sqrt(t) apart, so on
@@ -510,21 +505,20 @@ def _oscillation_count(alpha: float, ts: np.ndarray, X: float) -> Tuple[np.ndarr
     value is not finite.
     """
     ts = np.asarray(ts, dtype=float)
-    xs, terms = _shooting_mesh(alpha, X, _mesh_size(1.0, alpha, X))
+    xs, terms, seed = mesh
     bound = float(np.max(xs[:-1] - xs[1:])) * math.sqrt(float(np.max(ts)))
     if not bound < 2.0:
         raise BracketError(
             f"mesh too coarse to count zeros: max(h) sqrt(t) = {bound:.3g} is not below 2"
         )
     counts = np.zeros(ts.shape, dtype=int)
-    seed = _wkb_seed(1.0, alpha, X)
     for y, yp in _node_values(terms, ts, *seed, damped=True):
         _guard(y)
         zero = np.flatnonzero(np.any(y == 0.0, axis=0))
         if zero.size:
             raise BracketError(
                 f"y(.; t) at t = {float(ts[zero[0]])!r} is exactly 0 at a node, so its sign is undefined "
-                f"(the damped amplitude underflows on the truncation X = {X!r})"
+                f"(the damped amplitude underflows on the truncation X = {float(xs[0])!r})"
             )
         counts += np.count_nonzero(np.signbit(y[1:]) != np.signbit(y[:-1]), axis=0)
     return counts, _prufer_sine(ts, y[-1], _guard(yp[-1]))
@@ -575,7 +569,8 @@ def _real_spectrum_cached(
     ts = ((np.arange(n_max + 1) + 0.25) * (math.pi / bs_constant(alpha))) ** (
         2.0 * alpha / (alpha + 2.0)
     )
-    counts, sines = _oscillation_count(alpha, ts, X)
+    mesh = _shooting_mesh(alpha, X)
+    counts, sines = _oscillation_count(mesh, ts)
     bad = np.flatnonzero(counts != np.arange(n_max + 1))
     if bad.size:
         j = int(bad[0])
@@ -585,7 +580,7 @@ def _real_spectrum_cached(
         )
 
     def prufer_sine(t):
-        return _prufer_sine(t, *_shoot_many(alpha, t, X))
+        return _prufer_sine(t, *_shoot_many(mesh, t))
 
     lo, hi = refine_brackets(prufer_sine, ts[:-1], ts[1:], sines[:-1], sines[1:], tol)
     return tuple(float(r) for r in 0.5 * (lo + hi))
@@ -659,7 +654,23 @@ def _march_nodes(
 
 @lru_cache(maxsize=8)
 def homogeneous_pair(spec: OperatorSpec):
-    """Grid samples (u, u', v, v') of the distinguished homogeneous pair."""
+    """Grid samples (u, u', v, v') of the distinguished homogeneous pair.
+
+    Across [0, X] each grows by about exp(G), with G = Re(sqrt c)
+    X^{a/2+1}/(a/2+1) the WKB exponent at X, so a G above ln(1e300) = 690.8
+    raises OverflowGuardError before the march; an over-budget mesh raises
+    ValueError first.  The march itself overflows from G = 685.5-690.775 on
+    (scanned at |c| 1e-3 to 1e3, arg c 0 to 2.5, alpha 3e-4 to 40); it
+    reaches the bound as alpha -> 0, where v(0) = exp(G).
+    """
+    c, alpha, X = spec.c, spec.alpha, spec.X
+    _mesh_size(c, alpha, X)
+    growth = cmath.sqrt(c).real * X ** (0.5 * alpha + 1.0) / (0.5 * alpha + 1.0)
+    if growth > math.log(_OVERFLOW_BOUND):
+        raise OverflowGuardError(
+            f"the homogeneous pair grows by about exp({growth:.4g}) across [0, X = {X!r}], "
+            f"past the double range of exp({math.log(_OVERFLOW_BOUND):.4g}): X is too long for this c"
+        )
     u, up = _march_nodes(spec, inward=False)
     v, vp = _march_nodes(spec, inward=True)
     return u, up, v, vp
@@ -754,7 +765,10 @@ def apply_inverse(spec: OperatorSpec, f: SampledFunction) -> SampledFunction:
     """
     xs = spec.grid()
     if f.grid.shape != xs.shape or not np.allclose(f.grid, xs, rtol=0, atol=1e-12 * spec.X):
-        raise ValueError("sampled function must live on the spec grid")
+        raise ValueError(
+            f"sampled function must live on a uniform grid from 0 to X = {spec.X!r}: "
+            f"{spec.grid_n} points, each within {1e-12 * spec.X:.3g} of linspace(0, X, {spec.grid_n})"
+        )
     u, up, v, vp = homogeneous_pair(spec)
     w_all = v * up - vp * u
     w0 = w_all[len(w_all) // 2]

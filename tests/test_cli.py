@@ -187,6 +187,18 @@ def test_resolvent_rejects_bad_grid(tmp_path, capsys):
     assert "error:" in err
 
 
+def test_resolvent_checks_the_grid_once(tmp_path, capsys):
+    # x written to 10 decimals is off linspace(0, 10, 1201) by up to 5e-11:
+    # inside the old CLI tolerance of 1e-9 h, outside the library's 1e-12 X,
+    # so it passed one check and failed the other with a bare message
+    xs = np.linspace(0.0, 10.0, 1201)
+    f_csv = tmp_path / "f.csv"
+    np.savetxt(f_csv, np.column_stack([xs, np.exp(-((xs - 3.0) ** 2))]), delimiter=",", fmt="%.10f")
+    code, _, err = run(["resolvent", "--alpha", "1", "--c", "1,0", "--input", str(f_csv)], capsys)
+    assert code == 1
+    assert err.startswith("error: sampled function must live on a uniform grid from 0 to X = 10.0: 1201 points")
+
+
 def test_verify_deterministic_and_green(tmp_path, capsys):
     f1, f2 = tmp_path / "v1.txt", tmp_path / "v2.txt"
     assert main(["verify", "--per-regime", "3", "--out", str(f1)]) == 0

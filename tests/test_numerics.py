@@ -11,42 +11,9 @@ from wkbspec.errors import BracketError, OverflowGuardError
 from wkbspec.numerics import (
     Bracket,
     Contour,
-    gamma_fn,
     refine_brackets,
 )
-from wkbspec.spectrum import _cosh_sinhc, _magnus, _magnus_terms, _shoot_many
-
-
-# ---------------------------------------------------------------------------
-# gamma
-# ---------------------------------------------------------------------------
-
-@pytest.mark.parametrize(
-    "x, expected",
-    [
-        (0.5, math.sqrt(math.pi)),
-        (5.0, 24.0),
-        (1.5, math.sqrt(math.pi) / 2.0),
-        (1.0, 1.0),
-        (10.0, 362880.0),
-    ],
-)
-def test_gamma_known_values(x, expected):
-    assert_allclose(gamma_fn(x), expected, rtol=1e-13)
-
-
-def test_gamma_recurrence_grid():
-    # |Gamma(x+1) - x Gamma(x)| / Gamma(x+1) below 1e-12 on x = 0.1 ... 10
-    for k in range(1, 101):
-        x = k / 10.0
-        g1 = gamma_fn(x + 1.0)
-        assert abs(g1 - x * gamma_fn(x)) / g1 < 1e-12
-
-
-@pytest.mark.parametrize("bad", [0.0, -1.0, -0.5, math.inf, math.nan])
-def test_gamma_domain(bad):
-    with pytest.raises(ValueError):
-        gamma_fn(bad)
+from wkbspec.spectrum import _cosh_sinhc, _magnus, _magnus_terms, _shoot_many, _shooting_mesh
 
 
 # ---------------------------------------------------------------------------
@@ -131,7 +98,7 @@ def test_shoot_overflow_guard():
     # about e^20000, past the double range before its factor can cancel it
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(OverflowGuardError):
-            _shoot_many(2.0, np.array([-1e12]), 10.0)
+            _shoot_many(_shooting_mesh(2.0, 10.0), np.array([-1e12]))
 
 
 # ---------------------------------------------------------------------------
