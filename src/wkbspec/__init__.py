@@ -16,7 +16,6 @@ from .actions import (
 )
 from .stokes import (
     build_stokes_graph,
-    ray_crossing_report,
     ray_extremum,
     trace_stokes_curve,
 )
@@ -58,7 +57,6 @@ __all__ = [
     "f_theta_routes",
     "half_line_integral_split",
     "homogeneous_pair",
-    "ray_crossing_report",
     "ray_extremum",
     "real_spectrum",
     "route_equivalence",

@@ -7,7 +7,8 @@ type A (Reed & Simon IV, section XIII.10; Davies, Proc. R. Soc. A 455,
 reference spectrum (c = 1).  That spectrum anchors everything: the complex
 eigenvalues are its scaled values, the inverse operator acts through the
 Green kernel built from the two distinguished homogeneous solutions, and
-the singular values are 1/|lambda_n|.
+s_numbers reports 1/|lambda_n|, which are the singular values of the
+inverse only for c > 0, where the operator is self-adjoint.
 
 Every ODE solve goes through one kernel, the sixth-order three-point Gauss
 Magnus transfer matrix of y'' = (c x^a - lambda) y over an interval
@@ -544,8 +545,8 @@ def real_spectrum(
     close to linear across a bracket, so 2-8 rounds suffice where y(0; t)
     itself takes 9-13.  The damping of the shoot leaves the sine unchanged
     and keeps (y, y') in range at 0 up to the top mode.  A tol below the
-    float spacing at the top bracket end raises ValueError before the
-    first round.  Results are memoized per
+    float spacing at the top bracket end raises ValueError before the mesh
+    is built.  Results are memoized per
     (alpha, n_max, X, tol); everything involved is deterministic.
     """
     if n_max < 1:
@@ -569,6 +570,10 @@ def _real_spectrum_cached(
     ts = ((np.arange(n_max + 1) + 0.25) * (math.pi / bs_constant(alpha))) ** (
         2.0 * alpha / (alpha + 2.0)
     )
+    # refine_brackets makes the same check, but only after the mesh and the count
+    ulp = float(np.spacing(ts[-1]))
+    if tol < ulp:
+        raise ValueError(f"tol {tol!r} is below the float spacing (ulp {ulp:.3g}) at the bracket ends")
     mesh = _shooting_mesh(alpha, X)
     counts, sines = _oscillation_count(mesh, ts)
     bad = np.flatnonzero(counts != np.arange(n_max + 1))
@@ -596,18 +601,9 @@ def complex_spectrum(spec: OperatorSpec, n_max: int) -> SpectrumResult:
     The identity is exact for |arg c| < pi (module docstring), with the
     principal power and t_n the memoized c = 1 reference spectrum
     (real_spectrum), so the eigenvalues carry its accuracy, scaled by
-    |c|^{2/(a+2)}.  A truncation spec.X shorter than the turning-point
-    radius of the top mode raises ValueError, so the spec is one on which
-    eigenfunction and apply_inverse can resolve those modes.
+    |c|^{2/(a+2)}.  Nothing here depends on the truncation spec.X.
     """
     alpha = spec.alpha
-    # turning-point radius of the top mode: |lambda| = |c|^{2/(a+2)} t,
-    # so (|lambda|/|c|)^{1/a} = t^{1/a} |c|^{-1/(a+2)}
-    x_needed = _mode_window(alpha, n_max)[1] * abs(spec.c) ** (-1.0 / (alpha + 2.0))
-    if spec.X < x_needed:
-        raise ValueError(
-            f"truncation X={spec.X:.3f} below the safe radius {x_needed:.3f} for {n_max} modes"
-        )
     scale_c = cmath.exp((2.0 / (alpha + 2.0)) * cmath.log(spec.c))
     t_ref = np.array(real_spectrum(alpha, n_max))
     t_asym = np.array([t_asymptotic(n, alpha) for n in range(1, n_max + 1)])
@@ -676,19 +672,20 @@ def homogeneous_pair(spec: OperatorSpec):
     return u, up, v, vp
 
 
-def _suppression(spec: OperatorSpec, lam: complex) -> Tuple[float, float]:
+def _suppression(spec: OperatorSpec, lam: complex) -> Tuple[float, float, float]:
     """How well the inward march of eigenfunction keeps the decaying solution.
 
     With w = sqrt(c x^a - lam) on the branch that decays at infinity, the
     log-ratio of the other solution to the decaying one changes by
-    -2 Re w dx along the march.  Returns (S, drop) for
+    -2 Re w dx along the march.  Returns (S, drop, top) for
     g(x) = 2 int_0^x Re w: S = g(X), the suppression at 0 of the error of
-    the WKB seed at X, and drop, the largest fall of g over any stretch
+    the WKB seed at X; drop, the largest fall of g over any stretch
     [x, x'], by which a rounding error at x' can grow relative to the
-    solution by x.  w = sqrt(c) x^{a/2} sqrt(1 - lam/(c x^a)) with the
-    principal root: lam/(c x^a) runs along one ray from 0 as x comes in
-    from infinity, which never meets the cut [1, inf) of sqrt(1 - z)
-    unless lam/c > 0; then the path crosses a turning point, where either
+    solution by x; and top, the largest g, twice the growth of the
+    decaying solution over the march.  w = sqrt(c) x^{a/2}
+    sqrt(1 - lam/(c x^a)) with the principal root: lam/(c x^a) runs along
+    one ray from 0 as x comes in from infinity, which never meets the cut
+    [1, inf) of sqrt(1 - z) unless lam/c > 0; then the path crosses a turning point, where either
     sign continues w, and the principal root picks one.  Midpoint rule on
     the march's mesh.
     """
@@ -697,7 +694,7 @@ def _suppression(spec: OperatorSpec, lam: complex) -> Tuple[float, float]:
     xm = 0.5 * (xs[1:] + xs[:-1])
     w = cmath.sqrt(c) * xm ** (0.5 * alpha) * np.sqrt(1.0 - lam / (c * xm**alpha))
     g = np.concatenate(([0.0], np.cumsum(2.0 * np.diff(xs) * w.real)))
-    return float(g[-1]), float(np.max(np.maximum.accumulate(g) - g))
+    return float(g[-1]), float(np.max(np.maximum.accumulate(g) - g)), float(np.max(g))
 
 
 def eigenfunction(spec: OperatorSpec, lam: complex) -> SampledFunction:
@@ -717,16 +714,26 @@ def eigenfunction(spec: OperatorSpec, lam: complex) -> SampledFunction:
     fail deep in the sector, where Re sqrt(c) = |c|^{1/2} cos(arg c / 2) is
     small: on OperatorSpec.for_modes(c, 2/3, 3), lambda_1 is supported up
     to about |arg c| = 2.45 and lambda_3 up to about 1.95.  A longer
-    truncation X raises S but not the stretch gain.
+    truncation X raises S but not the stretch gain.  The march grows its
+    seed, of WKB amplitude |c|^{1/4}, by about exp(top/2) (_suppression),
+    so G = top/2 + ln|c|/4 above ln(1e300) raises OverflowGuardError before
+    it.  The march overflows from G = 682.2-690.04 (scanned at |c| 1e-9 to
+    1e12, |arg c| <= 2.2, alpha 0.05-15, modes 1-20).
     """
     lam = complex(lam)
-    S, drop = _suppression(spec, lam)
+    S, drop, top = _suppression(spec, lam)
     if not (S >= _SUPPRESSION and drop <= _SUPPRESSION):
         raise ValueError(
             f"eigenfunction at lambda = {lam:.6g} is out of the supported range: the decaying "
             f"solution gains S = {S:.3g} e-folds on the other one over [0, X] (need {_SUPPRESSION:g}) "
             f"and loses up to {drop:.3g} on a stretch (limit {_SUPPRESSION:g}); |arg c| is too "
             f"close to pi for this lambda, or X = {spec.X!r} is too short"
+        )
+    growth = 0.5 * top + 0.25 * math.log(abs(spec.c))
+    if growth > math.log(_OVERFLOW_BOUND):
+        raise OverflowGuardError(
+            f"the decaying solution at lambda = {lam:.6g} grows to about exp({growth:.4g}) marching in "
+            f"from X = {spec.X!r}, past the double range of exp({math.log(_OVERFLOW_BOUND):.4g})"
         )
     y, _yp = _march_nodes(spec, inward=True, lam=lam)
     return SampledFunction(spec.grid(), y / np.max(np.abs(y)))
@@ -740,8 +747,7 @@ def _cumulative_quad(g: np.ndarray, h: float, backward: bool = False) -> np.ndar
     inc = np.empty(n - 1, dtype=complex)
     inc[0] = h * (9.0 * g[0] + 19.0 * g[1] - 5.0 * g[2] + g[3]) / 24.0
     inc[-1] = h * (9.0 * g[-1] + 19.0 * g[-2] - 5.0 * g[-3] + g[-4]) / 24.0
-    if n > 3:
-        inc[1:-1] = h * (-g[:-3] + 13.0 * g[1:-2] + 13.0 * g[2:-1] - g[3:]) / 24.0
+    inc[1:-1] = h * (-g[:-3] + 13.0 * g[1:-2] + 13.0 * g[2:-1] - g[3:]) / 24.0
     out = np.empty(n, dtype=complex)
     if backward:
         out[-1] = 0.0
@@ -792,12 +798,15 @@ def apply_inverse(spec: OperatorSpec, f: SampledFunction) -> SampledFunction:
 
 
 def s_numbers(spec: OperatorSpec, n_max: int) -> SNumberReport:
-    """Singular values of the inverse operator, s_n = 1/|lambda_n|.
+    """s_n = 1/|lambda_n|, the singular values of the inverse operator for c > 0.
 
     Uses the exact factorization |lambda_n| = |c|^{2/(a+2)} t_n with the
-    c = 1 reference t_n.  The values decay like n^expected_exponent, with
-    expected_exponent = -2 alpha/(alpha + 2) from the large-n law of
-    t_asymptotic; a caller fits the measured slope over the range it needs.
+    c = 1 reference t_n.  For complex c the inverse is not normal and its
+    singular values differ: a dense SVD at alpha = 2 gives s_6 |lambda_6| =
+    1.016, 1.066 and 1.162 at arg c 0.5, 1.0 and 1.5.  The values decay
+    like n^expected_exponent, with expected_exponent = -2 alpha/(alpha + 2)
+    from the large-n law of t_asymptotic; a caller fits the measured slope
+    over the range it needs.
     """
     t_ref = real_spectrum(spec.alpha, n_max)
     pref = abs(spec.c) ** (-2.0 / (spec.alpha + 2.0))

@@ -18,7 +18,7 @@ closed form, from Re S at the other turning point.
 
 The ray crossings trace nothing: they follow the same closed form along
 the ray through the strip and half-plane domains that the Stokes curves
-cut the plane into (see ray_crossing_report).
+cut the plane into (see _crossing_reports).
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ __all__ = [
     "build_stokes_graph",
     "classify_crossings",
     "launch_angles",
-    "ray_crossing_report",
     "ray_extremum",
     "trace_stokes_curve",
 ]
@@ -68,7 +67,6 @@ class StokesCurve:
     points: tuple
     terminal: str
     asymptotic_angle: Optional[float] = None
-    reaches: Optional[complex] = None
 
 
 @dataclass(frozen=True)
@@ -175,15 +173,16 @@ def trace_stokes_curve(
     to tp, by half the distance to the other turning point (so no chord
     passes near either), by the chord sagitta sag_tol at the exact
     curvature of the level line, and by an arclength cap that grows with
-    the distance from tp.
+    the distance from tp; sag_tol and the arclength cap are scaled by
+    max(1, |t2 - t1|).
 
-    Terminates past an arclength of max_arclen times the scale
-    max(1, |t2 - t1|) of the step caps (TO_INFINITY, with the exact
-    asymptotic direction pi/4 - arg(k)/4 + j pi/2 nearest the last chord),
-    or, on a compound potential (see _compound), within 1e-2 |t2 - t1| of
-    the other turning point (TO_TURNING_POINT); the launch is 1e-4 |t2 - t1|
-    from tp.  So no finite curve is cut short, and no curve is taken for
-    one, however far apart or close the turning points are.
+    Terminates past an arclength of max_arclen times that scale
+    (TO_INFINITY, with the exact asymptotic direction pi/4 - arg(k)/4 +
+    j pi/2 nearest the last chord), or, on a compound potential (see
+    _compound), within 1e-2 |t2 - t1| of the other turning point
+    (TO_TURNING_POINT); the launch is 1e-4 |t2 - t1| from tp.  So no
+    finite curve is cut short, and no curve is taken for one, however far
+    apart or close the turning points are.
     """
     if not (math.isfinite(max_arclen) and max_arclen > 0.0):
         raise ValueError("max_arclen must be finite and positive")
@@ -210,14 +209,13 @@ def trace_stokes_curve(
     points = [tp, z]
     arclen = abs(z - tp)
     terminal = TO_INFINITY
-    reaches = None
     while arclen < max_arclen * scale:
         dp = pot.slope_at(z)
         kappa = abs(q) * abs((dp / (2.0 * q**3)).real)
         h = min(
             abs(z - tp),
             0.5 * abs(z - other),
-            math.sqrt(8.0 * sag_tol / kappa) if kappa > 0.0 else math.inf,
+            math.sqrt(8.0 * sag_tol * scale / kappa) if kappa > 0.0 else math.inf,
             0.35 * scale * (1.0 + 0.25 * abs(z - tp)),
         )
         ds = sigma * h * abs(q)
@@ -231,7 +229,6 @@ def trace_stokes_curve(
         z = z_new
         if compound and abs(z - other) < _CAPTURE_RADIUS * dist:
             terminal = TO_TURNING_POINT
-            reaches = other
             points.append(other)
             break
 
@@ -242,7 +239,6 @@ def trace_stokes_curve(
         points=tuple(points),
         terminal=terminal,
         asymptotic_angle=_asymptotic_angle(pot, points) if terminal == TO_INFINITY else None,
-        reaches=reaches,
     )
 
 
@@ -273,11 +269,11 @@ def build_stokes_graph(
     Differentials, 1984), and the tracer's step caps are invariant under it.
     The k-th curve from t2 is the image of the t1 curve whose launch angle
     plus pi is launch_angles(pot, t2)[k]: it keeps that curve's terminal,
-    reaches t1 where it reaches t2, and its end points are the turning
-    points exactly (t1 = 0 in both forms).  The compound flag is set when
-    a finite Stokes curve joins the turning points, decided in closed form
-    by Re S(t2) = 0 (for the t-form, arg mu = 0 mod pi/2); only then does
-    a curve end at the other turning point.
+    and its end points are the turning points exactly (t1 = 0 in both
+    forms).  The compound flag is set when a finite Stokes curve joins the
+    turning points, decided in closed form by Re S(t2) = 0 (for the t-form,
+    arg mu = 0 mod pi/2); only then does a curve end at the other turning
+    point.
     """
     t1, t2 = pot.turning_points()
     # trace order is the graph order: the first turning point's curves by
@@ -295,7 +291,6 @@ def build_stokes_graph(
             points=points,
             terminal=partner.terminal,
             asymptotic_angle=None if finite else _asymptotic_angle(pot, points),
-            reaches=t1 if finite else None,
         ))
     return StokesGraph(pot, tuple(first + second), (0, 1, 2), (3, 4, 5), _compound(pot))
 
@@ -487,7 +482,31 @@ def _walk(ray: _Ray, radii) -> Tuple[list, list]:
 
 
 def _crossing_reports(psis: List[float], gamma: float) -> List[RayCrossingReport]:
-    """ray_crossing_report for every psi, with one refine_brackets call."""
+    """Count intersections of the ray at angle gamma - psi with both
+    Stokes complexes of P(z) = e^{4 i psi} z (z - 1) for every psi, from
+    the closed-form action along the ray, with one refine_brackets call;
+    no curve is traced.
+
+    S_ray(tau) is the action from the turning point 0 at tau e^{i(gamma -
+    psi)}, continued along the ray.  The Stokes curves cut the plane into
+    one strip domain and four half-plane domains, two at each turning point
+    (Strebel, Quadratic Differentials, 1984).  S maps the strip onto the
+    strip between Re S = 0, where the curves of the first complex lie, and
+    Re S = Re sigma, where those of the second lie, with sigma = S(1) =
+    +-i pi e^{2 i psi}/8 (the sign whose real part lies the way Re S_ray
+    moves as the ray enters the strip); it maps each half-plane domain onto
+    one side of its turning point's level.  The segment [0, 1] lies in the
+    strip, so the ray starts there exactly when its angle and 0 lie in the
+    same sector between the launch directions at 0.  Re S_ray is monotone
+    on (0, tau0) and on (tau0, inf), tau0 from ray_extremum, so on each
+    piece every level has at most one zero, refined by refine_brackets.  At
+    a zero of the current domain's level, the sign of Im(S_ray - S_tp) names
+    the curve crossed: from the strip the ray enters the half-plane domain
+    on that curve; from a half-plane domain it enters the strip across the
+    curve they share, or else the neighbouring half-plane domain of the
+    same turning point.  Crossings inside r_min = 1e-6 do not count
+    ("outside z = 0").
+    """
     rays = [_ray(psi, gamma) for psi in psis]
     lanes = [(ray, b) for ray in rays for b in ray.brackets]
 
@@ -512,34 +531,6 @@ def _crossing_reports(psis: List[float], gamma: float) -> List[RayCrossingReport
             extremum=ray.extremum,
         ))
     return reports
-
-
-def ray_crossing_report(psi: float, gamma: float) -> RayCrossingReport:
-    """Count intersections of the ray at angle gamma - psi with both
-    Stokes complexes of P(z) = e^{4 i psi} z (z - 1), from the closed-form
-    action along the ray; no curve is traced.
-
-    S_ray(tau) is the action from the turning point 0 at tau e^{i(gamma -
-    psi)}, continued along the ray.  The Stokes curves cut the plane into
-    one strip domain and four half-plane domains, two at each turning point
-    (Strebel, Quadratic Differentials, 1984).  S maps the strip onto the
-    strip between Re S = 0, where the curves of the first complex lie, and
-    Re S = Re sigma, where those of the second lie, with sigma = S(1) =
-    +-i pi e^{2 i psi}/8 (the sign whose real part lies the way Re S_ray
-    moves as the ray enters the strip); it maps each half-plane domain onto
-    one side of its turning point's level.  The segment [0, 1] lies in the
-    strip, so the ray starts there exactly when its angle and 0 lie in the
-    same sector between the launch directions at 0.  Re S_ray is monotone
-    on (0, tau0) and on (tau0, inf), tau0 from ray_extremum, so on each
-    piece every level has at most one zero, refined by refine_brackets.  At
-    a zero of the current domain's level, the sign of Im(S_ray - S_tp) names
-    the curve crossed: from the strip the ray enters the half-plane domain
-    on that curve; from a half-plane domain it enters the strip across the
-    curve they share, or else the neighbouring half-plane domain of the
-    same turning point.  Crossings inside r_min = 1e-6 do not count
-    ("outside z = 0").
-    """
-    return _crossing_reports([psi], gamma)[0]
 
 
 def _fits_regime(regime: int, rep: RayCrossingReport) -> bool:

@@ -152,8 +152,6 @@ def solve_theta0(tol: float) -> ThresholdReport:
     guaranteed endpoint signs fail, which would indicate an implementation
     bug rather than a mathematical possibility.
     """
-    if not tol > 0.0:
-        raise ValueError("tol must be positive")
     f_lo, f_hi = f_theta(THETA_LO), f_theta(THETA_HI)
     if f_lo >= 0.0 or f_hi <= 0.0:
         raise SignAnomalyError(

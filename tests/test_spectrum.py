@@ -197,6 +197,17 @@ def test_real_spectrum_refuses_tol_below_float_spacing():
         real_spectrum(10.0, 100, tol=1e-12)
 
 
+@pytest.mark.parametrize("alpha, n", [(20.0, 450), (10.0, 2000)])
+def test_real_spectrum_refuses_tol_below_float_spacing_before_the_count(alpha, n):
+    # 1e-10 is below one ulp of t_450 (1.16e-10) and of t_2000 (4.66e-10); the
+    # refusal used to come from refine_brackets, after the mesh and the count
+    # (0.6 s and 3.9 s)
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="below the float spacing"):
+        real_spectrum(alpha, n)
+    assert time.perf_counter() - start < 0.05
+
+
 @pytest.mark.parametrize(
     "c, alpha, n, size",
     [(1.0, ALPHA_23, 3, 1000), (2.0, 1.0, 7, 1000), (0.5, 2.0, 8, 1000), (1.0, 2.0, 100, 2335), (1.0, 20.0, 100, 4033)],
@@ -552,6 +563,13 @@ def test_complex_spectrum_alpha2_real_coupling():
     assert_allclose(res.t_values, [3.0, 7.0, 11.0], atol=1e-7)
 
 
+def test_complex_spectrum_does_not_depend_on_the_truncation():
+    # X = 3 is far below the turning point of lambda_40 (123.5 at |c| = 1): the
+    # eigenvalues are c^{3/4} t_n, and they used to be refused there
+    short = complex_spectrum(OperatorSpec(1j, ALPHA_23, 3.0), 40)
+    assert short.eigenvalues == complex_spectrum(OperatorSpec.for_modes(1j, ALPHA_23, 40), 40).eigenvalues
+
+
 def test_complex_spectrum_rotation():
     # arg c = 2.05 lies past pi/2 + theta0 ~ 1.89, the paper's sector edge.
     # Collocation on 260 points of [0, 5.2] measured 1.8e-11 and 1.9e-10 off
@@ -705,6 +723,22 @@ def test_eigenfunction_refuses_a_large_stretch_gain():
     lam = cmath.exp(0.75 * cmath.log(c)) * real_spectrum(ALPHA_23, 10)[9]
     with pytest.raises(ValueError, match="loses up to 5"):
         eigenfunction(spec, lam)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_eigenfunction_refuses_an_overflowing_march_before_it_runs(monkeypatch):
+    # at X = 300 the decaying solution grows by exp(1435) marching in from X;
+    # the march raised a bare RuntimeWarning, or OverflowGuardError after it ran
+    lam = real_spectrum(ALPHA_23, 1)[0]
+    assert abs(eigenfunction(OperatorSpec(c=1.0, alpha=ALPHA_23, X=169.0), lam).values[0]) < 1e-10
+
+    def no_march(*args, **kwargs):
+        raise AssertionError("the march ran")
+
+    monkeypatch.setattr("wkbspec.spectrum._march_nodes", no_march)
+    for X in (200.0, 300.0):
+        with pytest.raises(OverflowGuardError, match="past the double range"):
+            eigenfunction(OperatorSpec(c=1.0, alpha=ALPHA_23, X=X), lam)
 
 
 def test_apply_inverse_grid_mismatch(resolvent_spec):

@@ -1,5 +1,6 @@
 import cmath
 import math
+import time
 import warnings
 
 import numpy as np
@@ -11,9 +12,9 @@ from wkbspec.stokes import (
     build_stokes_graph,
     classify_crossings,
     launch_angles,
-    ray_crossing_report,
     ray_extremum,
     trace_stokes_curve,
+    _crossing_reports,
     _ray_extrema,
 )
 
@@ -59,7 +60,7 @@ def test_launch_angles_z_form_affine_image():
 def test_finite_stokes_curve_real_mu():
     curve = trace_stokes_curve(PotentialQuadratic.t_form(1.0), 0.0, 0)
     assert curve.terminal == "turning_point"
-    assert curve.reaches == 1.0
+    assert curve.points[-1] == 1.0
     # the finite curve is the real segment [0, 1]
     assert max(abs(z.imag) for z in curve.points) < 1e-9
     assert curve.initial_angle == pytest.approx(0.0, abs=1e-12)
@@ -106,7 +107,7 @@ def test_compound_close_turning_points(mu):
     assert graph.compound
     finite = [c for c in graph.curves if c.terminal == "turning_point"]
     assert len(finite) == 2
-    assert {(c.origin, c.reaches) for c in finite} == {(0.0, mu), (mu, 0.0)}
+    assert {(c.origin, c.points[-1]) for c in finite} == {(0.0, mu), (mu, 0.0)}
 
 
 def test_turning_points_too_close_to_trace_rejected():
@@ -166,6 +167,20 @@ def test_far_apart_turning_points_trace(modulus, arg):
         assert abs(s_val.real) <= 1e-10 * max(1.0, abs(s_val)), f"Re S = {s_val.real:.2e} at {b}"
 
 
+def test_point_count_does_not_grow_with_the_turning_point_distance():
+    # the sagitta cap scales with max(1, |t2 - t1|) like the other step caps;
+    # with an absolute sag_tol the longest curve had 492 points at |mu| = 1e2
+    # and 479111 at 1e8, and 1e12 was killed before it returned
+    counts = {}
+    for modulus in (1e2, 1e8, 1e12):
+        start = time.perf_counter()
+        graph = build_stokes_graph(PotentialQuadratic.t_form(modulus * cmath.exp(0.3j)))
+        elapsed = time.perf_counter() - start
+        counts[modulus] = [len(c.points) for c in graph.curves]
+    assert elapsed < 1.0 and sum(counts[1e12]) <= 400
+    assert counts[1e2] == counts[1e8]
+
+
 @pytest.mark.parametrize("mu", [40 + 300j, 300 + 950j, -200 + 50j])
 def test_trace_from_a_far_turning_point(mu):
     # z next to mu is rounded to eps |mu|, which moves S by |sqrt(P)| times
@@ -216,10 +231,12 @@ def test_second_complex_is_the_reflection_of_the_first(pot):
     t1, t2 = pot.turning_points()
     for k, i in enumerate(graph.complex2):
         got, ref = graph.curves[i], trace_stokes_curve(pot, t2, k)
-        fields = ("origin", "direction_index", "initial_angle", "terminal", "asymptotic_angle", "reaches")
+        fields = ("origin", "direction_index", "initial_angle", "terminal", "asymptotic_angle")
         assert [getattr(got, f) for f in fields] == [getattr(ref, f) for f in fields]
         assert len(got.points) == len(ref.points)
-        assert got.points[0] == t2 and (got.reaches is None or got.points[-1] == t1)
+        assert got.points[0] == t2
+        if got.terminal == "turning_point":
+            assert got.points[-1] == ref.points[-1] == t1
         gap = np.max(np.abs(np.subtract(got.points, ref.points)))
         assert gap <= 1e-6 * max(1.0, abs(t2 - t1)), (k, gap)
 
@@ -483,12 +500,16 @@ def test_crossing_counts_match_traced_curves(gamma):
         assert (rep.count_complex1, rep.count_complex2) == tuple(map(len, traced)), chk.psi
 
 
+def _crossing_report(psi, gamma):
+    return _crossing_reports([psi], gamma)[0]
+
+
 @pytest.mark.parametrize("psi", [0.5 * math.pi, math.pi, 1.5 * math.pi])
 @pytest.mark.parametrize("gamma", [0.1, math.pi / 8.0, 0.6, 0.73, 0.78])
 def test_crossing_counts_match_traced_curves_compound(psi, gamma):
     # at psi = m pi/2 the strip has zero width; counting it as the limit of a
     # thin one gave (1, 1) at (3 pi/2, 0.6), where the traced graph has (1, 0)
-    rep = ray_crossing_report(psi, gamma)
+    rep = _crossing_report(psi, gamma)
     traced = _traced_crossings(psi, gamma)
     assert (rep.count_complex1, rep.count_complex2) == tuple(map(len, traced))
     pot = PotentialQuadratic.z_form(psi)
@@ -521,7 +542,7 @@ def test_crossing_radii_match_fine_traces():
 
 
 def test_crossings_regime_one():
-    rep = ray_crossing_report(math.pi / 16.0, GAMMA)
+    rep = _crossing_report(math.pi / 16.0, GAMMA)
     assert rep.count_complex1 == 0
     assert rep.count_complex2 == 2
     lo, hi = rep.crossings_complex2
@@ -529,20 +550,20 @@ def test_crossings_regime_one():
 
 
 def test_crossings_regime_two():
-    rep = ray_crossing_report(math.pi, GAMMA)
+    rep = _crossing_report(math.pi, GAMMA)
     assert rep.count_complex1 == 0
     assert rep.count_complex2 <= 1
 
 
 def test_crossings_regime_three():
-    rep = ray_crossing_report(2.0 * math.pi - 3.0 * GAMMA + 0.05, GAMMA)
+    rep = _crossing_report(2.0 * math.pi - 3.0 * GAMMA + 0.05, GAMMA)
     assert rep.count_complex1 == 1
     assert rep.count_complex2 <= 1
 
 
 def test_crossing_report_argument_validation():
     with pytest.raises(ValueError):
-        ray_crossing_report(0.5, 1.0)  # gamma outside (0, pi/4)
+        _crossing_report(0.5, 1.0)  # gamma outside (0, pi/4)
     with pytest.raises(ValueError):
         _ray_extrema([0.5], math.pi / 4.0)
     with pytest.raises(ValueError):
