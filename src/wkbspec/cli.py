@@ -279,7 +279,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("spectrum", help="eigenvalue table")
     sp.add_argument("--alpha", type=float, required=True)
     sp.add_argument("--c", type=_parse_complex, required=True, metavar="RE,IM")
-    sp.add_argument("--n", type=int, required=True)
+    sp.add_argument("--n", type=_positive_int, required=True)
     sp.add_argument("--out", default=None)
     sp.set_defaults(func=_cmd_spectrum)
 

@@ -29,9 +29,10 @@ the step, built once per path: one shooting mesh per reference solve
 (_shooting_mesh), shared by the count and every shoot and dropped with the
 solve.  The shoot multiplies each block pairwise, and the count, the
 Green-kernel pair and the eigenfunctions take every node value from a
-prefix product over the same blocks (_node_values); the pair and the
-eigenfunctions run undamped at the complex c of the problem, on the mesh
-joined with the caller's grid.
+prefix product over the same blocks (_node_values).  The pair and the
+eigenfunctions march undamped at the complex c, on the mesh joined with
+the caller's grid, after one admission check (_admit) has sized the march
+and bounded its amplitude, before any of its arrays exists.
 """
 
 from __future__ import annotations
@@ -64,6 +65,8 @@ __all__ = [
 ]
 
 _OVERFLOW_BOUND = 1e300
+# log of the largest amplitude an undamped march is admitted to reach (_admit)
+_LOG_AMPLITUDE_LIMIT = 691.5
 # bytes of each matrix-entry array in one block of _blocks: 4096 complex or
 # 8192 real (interval, lambda) pairs
 _BLOCK_BYTES = 1 << 16
@@ -323,21 +326,19 @@ def _mesh_size(c, alpha: float, X: float, lam_top: float = 0.0) -> int:
     growth at X, which the damping of each step (_magnus), taken at its
     midpoint, cancels only in part.  N depends on the problem (c, alpha, X
     and lam_top) only, never on the spectral parameters of one batch.  Every
-    shoot, count, march and _suppression sizes its mesh here, so an N above
-    _MAX_INTERVALS raises ValueError before anything is allocated.
+    shoot, count and march sizes its mesh here, in numpy floats that go to
+    inf, not raise, so any N above _MAX_INTERVALS raises ValueError first.
     """
-    top = max(float(lam_top), abs(c) * (X / 1.5) ** alpha)
-    n = max(
-        _MIN_INTERVALS,
-        math.ceil(3.0 * X * math.sqrt(top)),
-        math.ceil(X * math.sqrt(abs(c) * X**alpha) / 8.0),
-    )
-    if n > _MAX_INTERVALS:
+    with np.errstate(over="ignore"):
+        x = np.float64(X)
+        top = max(np.float64(lam_top), abs(c) * (x / 1.5) ** alpha)
+        n = max(3.0 * x * np.sqrt(top), x * np.sqrt(abs(c) * x**alpha) / 8.0)
+    if not n <= _MAX_INTERVALS:
         raise ValueError(
-            f"the mesh would need {n} intervals, above the budget of {_MAX_INTERVALS}: "
-            f"alpha = {alpha!r}, |c| = {abs(c)!r} and X = {X!r} are too large together"
+            f"the mesh would need {math.ceil(n) if math.isfinite(n) else n} intervals, above the budget "
+            f"of {_MAX_INTERVALS}: alpha = {alpha!r}, |c| = {abs(c)!r} and X = {X!r} are too large together"
         )
-    return n
+    return max(_MIN_INTERVALS, math.ceil(n))
 
 
 def _mesh(X: float, n: int = _MIN_INTERVALS) -> np.ndarray:
@@ -545,9 +546,9 @@ def real_spectrum(
     close to linear across a bracket, so 2-8 rounds suffice where y(0; t)
     itself takes 9-13.  The damping of the shoot leaves the sine unchanged
     and keeps (y, y') in range at 0 up to the top mode.  A tol below the
-    float spacing at the top bracket end raises ValueError before the mesh
-    is built.  Results are memoized per
-    (alpha, n_max, X, tol); everything involved is deterministic.
+    float spacing at the top bracket end, or a mesh over the budget, raises
+    ValueError before anything of size n_max or of the mesh is built.
+    Results are memoized per (alpha, n_max, X, tol); all is deterministic.
     """
     if n_max < 1:
         raise ValueError("n_max must be positive")
@@ -557,24 +558,20 @@ def real_spectrum(
 
 
 @lru_cache(maxsize=32)
-def _real_spectrum_cached(
-    alpha: float, n_max: int, X: Optional[float], tol: float
-) -> Tuple[float, ...]:
+def _real_spectrum_cached(alpha: float, n_max: int, X: Optional[float], tol: float) -> Tuple[float, ...]:
     t_hi, x_needed = _mode_window(alpha, n_max)
     if X is None:
         X = default_truncation(alpha, t_hi)
     elif X < x_needed:
         raise ValueError(f"X={X} below the safe truncation {x_needed:.3f}")
 
-    # t_asymptotic at the half-integers n - 1/2 = 1/2, ..., n_max + 1/2
-    ts = ((np.arange(n_max + 1) + 0.25) * (math.pi / bs_constant(alpha))) ** (
-        2.0 * alpha / (alpha + 2.0)
-    )
-    # refine_brackets makes the same check, but only after the mesh and the count
-    ulp = float(np.spacing(ts[-1]))
+    # refine_brackets makes the same check at the top bracket end, but only after the count
+    ulp = float(np.spacing(t_asymptotic(n_max + 0.5, alpha)))
     if tol < ulp:
         raise ValueError(f"tol {tol!r} is below the float spacing (ulp {ulp:.3g}) at the bracket ends")
-    mesh = _shooting_mesh(alpha, X)
+    mesh = _shooting_mesh(alpha, X)  # sized first: over the budget, nothing is built
+    # t_asymptotic at the half-integers n - 1/2 = 1/2, ..., n_max + 1/2
+    ts = ((np.arange(n_max + 1) + 0.25) * (math.pi / bs_constant(alpha))) ** (2.0 * alpha / (alpha + 2.0))
     counts, sines = _oscillation_count(mesh, ts)
     bad = np.flatnonzero(counts != np.arange(n_max + 1))
     if bad.size:
@@ -618,22 +615,18 @@ def complex_spectrum(spec: OperatorSpec, n_max: int) -> SpectrumResult:
 # inverse operator (Green kernel) and singular values
 # ---------------------------------------------------------------------------
 
-def _march_nodes(
-    spec: OperatorSpec, inward: bool, lam: complex = 0.0
-) -> Tuple[np.ndarray, np.ndarray]:
+def _march_nodes(spec: OperatorSpec, nodes: np.ndarray, inward: bool, lam: complex = 0.0):
     """Values (y, y') of a solution of y'' = (c x^a - lam) y at the grid nodes.
 
     Outward (u): u(0) = 0, u'(0) = 1.  Inward (v): WKB pair at X with the
-    common exponential factor dropped.  The path is the grid merged with the
-    shooting mesh, with one Magnus step per interval; every step has
-    determinant 1, so the Wronskian of u and v is conserved to rounding.
-    The terms of the whole path are built at once, and the node values come
-    from the blocked prefix product _node_values.
+    common exponential factor dropped.  nodes is the path, ascending: the
+    grid merged with the march mesh of _admit (a node on both is a step of
+    length 0, whose matrix is the identity), with one Magnus step per
+    interval; every step has determinant 1, so the Wronskian of u and v is
+    conserved to rounding.  The terms of the whole path are built at once,
+    and the node values come from the blocked prefix product _node_values.
     """
     c, alpha = spec.c, spec.alpha
-    xs = spec.grid()
-    # a node on both is a step of length 0, whose matrix is the identity
-    nodes = np.sort(np.concatenate((xs, _mesh(spec.X, _mesh_size(c, alpha, spec.X, abs(lam))))))
     path = nodes[::-1] if inward else nodes
     seed = _wkb_seed(c, alpha, spec.X) if inward else (0.0, 1.0)
     terms = _magnus_terms(c, alpha, path[:-1], path[1:])
@@ -644,57 +637,73 @@ def _march_nodes(
     _guard(yps)
     if inward:
         ys, yps = ys[::-1], yps[::-1]
-    pick = np.searchsorted(nodes, xs)
+    pick = np.searchsorted(nodes, spec.grid())
     return ys[pick], yps[pick]
+
+
+def _admit(c, alpha: float, X: float, lam: complex = 0.0, outward: bool = False):
+    """Admission check of an undamped march of y'' = (c x^a - lam) y on [0, X],
+    inward from X (and outward from 0 too if outward), before any array of it.
+
+    Returns (mesh, S, drop, amplitude); mesh = _mesh(X, _mesh_size(c, alpha,
+    X, |lam|)), whose budget is checked first.  With w = sqrt(c x^a - lam)
+    on the branch that decays at infinity, the log-ratio of the other
+    solution to the decaying one changes by -2 Re w dx along the march.  For
+    g(x) = 2 int_0^x Re w (midpoint rule on the mesh), S = g(X) is the
+    suppression at 0 of the error of the WKB seed at X, and drop the largest
+    fall of g over any stretch [x, x'], by which a rounding error at x' can
+    grow relative to the solution by x.  w = sqrt(c) x^{a/2}
+    sqrt(1 - lam/(c x^a)), principal root: lam/(c x^a) runs along one ray
+    from 0 as x comes in from infinity, which meets the cut [1, inf) of
+    sqrt(1 - z) only if lam/c > 0, at a turning point, where either sign
+    continues w.
+
+    amplitude is the log of the largest |y| or |y'| reached.  A WKB solution
+    grows by exp(top/2), top = max g, times K^{-+1/4} for the squared
+    wavenumber K where it ends: |c| X^a at X, and K0 = max(|lam|,
+    |c|^{2/(a+2)}) at 0, held at the natural length |c|^{-1/(a+2)} of c x^a.
+    The decaying solution goes from |c|^{1/4} (K^{-1/4}, K^{1/4}) at X
+    (_wkb_seed) to about |c|^{1/4} (K0^{-1/4}, K0^{1/4}) exp(top/2) at 0, and
+    u from (0, 1) at 0 to about K0^{-1/4} (K^{-1/4}, K^{1/4}) exp(top/2) at
+    X (K at least K0).  All are logarithms, so no finite input overflows
+    them; above _LOG_AMPLITUDE_LIMIT, OverflowGuardError.  That limit is the
+    largest amplitude served, bisected in X: 690.05-691.45 on 32 pair
+    families (691.47 as alpha -> 0) and 686.84-690.47 on 192 eigenfunction
+    families, |c| 1e-9 to 1e12, |arg c| <= 2.2, alpha 0.05-15; past a
+    family's own boundary the march runs and _guard refuses it.
+    """
+    mesh = _mesh(X, _mesh_size(c, alpha, X, abs(lam)))
+    xs = mesh[::-1]
+    xm = 0.5 * (xs[1:] + xs[:-1])
+    w = cmath.sqrt(c) * xm ** (0.5 * alpha)
+    if lam:  # the factor is 1 at lam = 0, where x^a may underflow to 0 near 0
+        w = w * np.sqrt(1.0 - lam / (c * xm**alpha))
+    g = np.concatenate(([0.0], np.cumsum(2.0 * np.diff(xs) * w.real)))
+    top = float(np.max(g))
+    log_c = math.log(abs(c))
+    log_k = log_c + alpha * math.log(X)
+    log_k0 = max(math.log(abs(lam)) if lam else -math.inf, 2.0 * log_c / (alpha + 2.0))
+    amplitude = max(0.25 * (log_c + abs(log_k)), 0.5 * top + 0.25 * (log_c + abs(log_k0)))
+    if outward:
+        amplitude = max(amplitude, 0.5 * top + 0.25 * (abs(max(log_k, log_k0)) - log_k0))
+    if amplitude > _LOG_AMPLITUDE_LIMIT:
+        raise OverflowGuardError(
+            f"the march at lambda = {complex(lam):.6g} grows by about exp({0.5 * top:.4g}) across "
+            f"[0, X = {X!r}] and reaches an amplitude of about exp({amplitude:.4g}), past the double "
+            f"range (limit exp({_LOG_AMPLITUDE_LIMIT:g})): X is too long for this c and lambda"
+        )
+    return mesh, float(g[-1]), float(np.max(np.maximum.accumulate(g) - g)), amplitude
 
 
 @lru_cache(maxsize=8)
 def homogeneous_pair(spec: OperatorSpec):
-    """Grid samples (u, u', v, v') of the distinguished homogeneous pair.
-
-    Across [0, X] each grows by about exp(G), with G = Re(sqrt c)
-    X^{a/2+1}/(a/2+1) the WKB exponent at X, so a G above ln(1e300) = 690.8
-    raises OverflowGuardError before the march; an over-budget mesh raises
-    ValueError first.  The march itself overflows from G = 685.5-690.775 on
-    (scanned at |c| 1e-3 to 1e3, arg c 0 to 2.5, alpha 3e-4 to 40); it
-    reaches the bound as alpha -> 0, where v(0) = exp(G).
-    """
-    c, alpha, X = spec.c, spec.alpha, spec.X
-    _mesh_size(c, alpha, X)
-    growth = cmath.sqrt(c).real * X ** (0.5 * alpha + 1.0) / (0.5 * alpha + 1.0)
-    if growth > math.log(_OVERFLOW_BOUND):
-        raise OverflowGuardError(
-            f"the homogeneous pair grows by about exp({growth:.4g}) across [0, X = {X!r}], "
-            f"past the double range of exp({math.log(_OVERFLOW_BOUND):.4g}): X is too long for this c"
-        )
-    u, up = _march_nodes(spec, inward=False)
-    v, vp = _march_nodes(spec, inward=True)
+    """Grid samples (u, u', v, v') of the distinguished homogeneous pair,
+    marched on one path after the admission check (_admit)."""
+    mesh = _admit(spec.c, spec.alpha, spec.X, outward=True)[0]
+    nodes = np.sort(np.concatenate((spec.grid(), mesh)))
+    u, up = _march_nodes(spec, nodes, inward=False)
+    v, vp = _march_nodes(spec, nodes, inward=True)
     return u, up, v, vp
-
-
-def _suppression(spec: OperatorSpec, lam: complex) -> Tuple[float, float, float]:
-    """How well the inward march of eigenfunction keeps the decaying solution.
-
-    With w = sqrt(c x^a - lam) on the branch that decays at infinity, the
-    log-ratio of the other solution to the decaying one changes by
-    -2 Re w dx along the march.  Returns (S, drop, top) for
-    g(x) = 2 int_0^x Re w: S = g(X), the suppression at 0 of the error of
-    the WKB seed at X; drop, the largest fall of g over any stretch
-    [x, x'], by which a rounding error at x' can grow relative to the
-    solution by x; and top, the largest g, twice the growth of the
-    decaying solution over the march.  w = sqrt(c) x^{a/2}
-    sqrt(1 - lam/(c x^a)) with the principal root: lam/(c x^a) runs along
-    one ray from 0 as x comes in from infinity, which never meets the cut
-    [1, inf) of sqrt(1 - z) unless lam/c > 0; then the path crosses a turning point, where either
-    sign continues w, and the principal root picks one.  Midpoint rule on
-    the march's mesh.
-    """
-    c, alpha = spec.c, spec.alpha
-    xs = _mesh(spec.X, _mesh_size(c, alpha, spec.X, abs(lam)))[::-1]
-    xm = 0.5 * (xs[1:] + xs[:-1])
-    w = cmath.sqrt(c) * xm ** (0.5 * alpha) * np.sqrt(1.0 - lam / (c * xm**alpha))
-    g = np.concatenate(([0.0], np.cumsum(2.0 * np.diff(xs) * w.real)))
-    return float(g[-1]), float(np.max(np.maximum.accumulate(g) - g)), float(np.max(g))
 
 
 def eigenfunction(spec: OperatorSpec, lam: complex) -> SampledFunction:
@@ -702,11 +711,12 @@ def eigenfunction(spec: OperatorSpec, lam: complex) -> SampledFunction:
 
     At an eigenvalue this is the eigenfunction (the boundary value y(0)
     vanishes there); away from eigenvalues it is simply the subdominant
-    solution.  The march runs undamped on the real axis, at the c of spec.
+    solution.  The march runs undamped on the real axis, at the c of spec,
+    after the admission check (_admit).
 
     Supported range: the decaying solution must outgrow the other one by
     S >= 16 e-folds across [0, X], and the other one may gain at most 16
-    e-folds on it over any stretch of [0, X] (_suppression); otherwise
+    e-folds on it over any stretch of [0, X] (_admit); otherwise
     ValueError is raised before the march.  Measured at eigenvalues,
     |y(0)|/max|y| is about 1e-3 exp(-S), the seed error (6e-12 at S = 21,
     2e-10 at 15.6, 4e-7 at 9), plus a rounding error that grows with the
@@ -714,14 +724,10 @@ def eigenfunction(spec: OperatorSpec, lam: complex) -> SampledFunction:
     fail deep in the sector, where Re sqrt(c) = |c|^{1/2} cos(arg c / 2) is
     small: on OperatorSpec.for_modes(c, 2/3, 3), lambda_1 is supported up
     to about |arg c| = 2.45 and lambda_3 up to about 1.95.  A longer
-    truncation X raises S but not the stretch gain.  The march grows its
-    seed, of WKB amplitude |c|^{1/4}, by about exp(top/2) (_suppression),
-    so G = top/2 + ln|c|/4 above ln(1e300) raises OverflowGuardError before
-    it.  The march overflows from G = 682.2-690.04 (scanned at |c| 1e-9 to
-    1e12, |arg c| <= 2.2, alpha 0.05-15, modes 1-20).
+    truncation X raises S but not the stretch gain.
     """
     lam = complex(lam)
-    S, drop, top = _suppression(spec, lam)
+    mesh, S, drop, _amplitude = _admit(spec.c, spec.alpha, spec.X, lam)
     if not (S >= _SUPPRESSION and drop <= _SUPPRESSION):
         raise ValueError(
             f"eigenfunction at lambda = {lam:.6g} is out of the supported range: the decaying "
@@ -729,13 +735,7 @@ def eigenfunction(spec: OperatorSpec, lam: complex) -> SampledFunction:
             f"and loses up to {drop:.3g} on a stretch (limit {_SUPPRESSION:g}); |arg c| is too "
             f"close to pi for this lambda, or X = {spec.X!r} is too short"
         )
-    growth = 0.5 * top + 0.25 * math.log(abs(spec.c))
-    if growth > math.log(_OVERFLOW_BOUND):
-        raise OverflowGuardError(
-            f"the decaying solution at lambda = {lam:.6g} grows to about exp({growth:.4g}) marching in "
-            f"from X = {spec.X!r}, past the double range of exp({math.log(_OVERFLOW_BOUND):.4g})"
-        )
-    y, _yp = _march_nodes(spec, inward=True, lam=lam)
+    y, _yp = _march_nodes(spec, np.sort(np.concatenate((spec.grid(), mesh))), inward=True, lam=lam)
     return SampledFunction(spec.grid(), y / np.max(np.abs(y)))
 
 

@@ -176,6 +176,17 @@ def test_resolvent_overflowing_rhs_exits_1(tmp_path, capsys):
     assert "Green-kernel result y overflowed" in err
 
 
+@pytest.mark.parametrize("alpha, x_top", [("0.6666666666666666", 1e300), ("2", 1e155)])
+def test_resolvent_on_a_truncation_near_the_double_range_exits_1(alpha, x_top, tmp_path, capsys):
+    # the mesh size 3 X sqrt(L) overflowed: a bare OverflowError escaped the CLI with a traceback
+    xs = np.linspace(0.0, x_top, 32)
+    f_csv = tmp_path / "f.csv"
+    np.savetxt(f_csv, np.column_stack([xs, np.ones_like(xs)]), delimiter=",")
+    code, out, err = run(["resolvent", "--alpha", alpha, "--c", "1,0", "--input", str(f_csv)], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("error: the mesh would need") and "Traceback" not in err
+
+
 def test_resolvent_rejects_bad_grid(tmp_path, capsys):
     xs = np.linspace(1.0, 2.0, 64)  # does not start at 0
     f_csv = tmp_path / "f.csv"
@@ -273,6 +284,8 @@ def test_bad_arguments_exit_2(capsys):
     for count in ("0", "-1"):
         assert main(["verify", "--per-regime", count]) == 2
         assert main(["scan", "--from", "0", "--to", "0.1", "--steps", count]) == 2
+    for count in ("0", "-3"):
+        assert main(["spectrum", "--alpha", "2", "--c=1,0", "--n", count]) == 2
 
 
 def test_theta0_nan_tolerance_exits_1(capsys):

@@ -2,6 +2,7 @@ import cmath
 import gc
 import math
 import time
+import tracemalloc
 import weakref
 
 import mpmath
@@ -24,6 +25,7 @@ from wkbspec.spectrum import (
     t_asymptotic,
 )
 from wkbspec.spectrum import (
+    _admit,
     _magnus,
     _magnus_terms,
     _march_nodes,
@@ -197,15 +199,21 @@ def test_real_spectrum_refuses_tol_below_float_spacing():
         real_spectrum(10.0, 100, tol=1e-12)
 
 
-@pytest.mark.parametrize("alpha, n", [(20.0, 450), (10.0, 2000)])
+@pytest.mark.parametrize("alpha, n", [(20.0, 450), (10.0, 2000), (2.0, 10**7)])
 def test_real_spectrum_refuses_tol_below_float_spacing_before_the_count(alpha, n):
     # 1e-10 is below one ulp of t_450 (1.16e-10) and of t_2000 (4.66e-10); the
     # refusal used to come from refine_brackets, after the mesh and the count
-    # (0.6 s and 3.9 s)
+    # (0.6 s and 3.9 s), and the n + 1 bracket points of (2, 10**7) took 160 MB
+    tracemalloc.start()
     start = time.perf_counter()
-    with pytest.raises(ValueError, match="below the float spacing"):
-        real_spectrum(alpha, n)
+    try:
+        with pytest.raises(ValueError, match="below the float spacing"):
+            real_spectrum(alpha, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     assert time.perf_counter() - start < 0.05
+    assert peak < 1e6
 
 
 @pytest.mark.parametrize(
@@ -229,6 +237,16 @@ def test_meshes_over_the_budget_are_refused_before_any_allocation():
     spec = OperatorSpec(c=1.0, alpha=40.0, X=3.0)
     with pytest.raises(ValueError, match="1307544151 intervals"):
         apply_inverse(spec, SampledFunction(spec.grid(), np.zeros(spec.grid_n)))
+    # near the top of the double range 3 X sqrt(L) or (X/1.5)^a overflowed,
+    # and a bare OverflowError escaped
+    for solve in (
+        lambda: homogeneous_pair(OperatorSpec(1.0, ALPHA_23, 1e300)),
+        lambda: eigenfunction(OperatorSpec(1.0, ALPHA_23, 1e300), 2.0),
+        lambda: real_spectrum(ALPHA_23, 5, X=1e300),
+        lambda: homogeneous_pair(OperatorSpec(1.0, 2.0, 1e155)),
+    ):
+        with pytest.raises(ValueError, match="the mesh would need inf intervals"):
+            solve()
     assert time.perf_counter() - start < 1.0
 
 
@@ -430,6 +448,13 @@ def test_det_nonzero_at_origin():
     assert abs(d0) > 1e-3 * abs(d_half)
 
 
+def _decaying_ratio(spec, lam):
+    # y(0)/y'(0) of the undamped inward march at lam, on the path eigenfunction takes
+    nodes = np.sort(np.concatenate((spec.grid(), _admit(spec.c, spec.alpha, spec.X, lam)[0])))
+    y, yp = _march_nodes(spec, nodes, inward=True, lam=lam)
+    return y[0] / yp[0]
+
+
 def test_det_zero_at_scaled_eigenvalue_complex_c():
     # lambda_1 = c^{3/4} t_1 on the real axis: the ratio y(0)/y'(0) of the
     # undamped complex march vanishes there (measured 1.9e-11 of its value
@@ -439,7 +464,7 @@ def test_det_zero_at_scaled_eigenvalue_complex_c():
         c = cmath.exp(1j * arg)
         spec = OperatorSpec.for_modes(c, ALPHA_23, 5)
         lam = cmath.exp(0.75 * cmath.log(c)) * t1
-        on, off = (y[0] / yp[0] for y, yp in (_march_nodes(spec, inward=True, lam=z) for z in (lam, 1.02 * lam)))
+        on, off = (_decaying_ratio(spec, z) for z in (lam, 1.02 * lam))
         assert abs(on) < 1e-6 * abs(off), arg
 
 
@@ -455,7 +480,7 @@ def test_rotated_and_unrotated_proxies_share_zeros(arg):
         c_ray, turn = c * cmath.exp(1j * (ALPHA_23 + 2.0) * phi), cmath.exp(2j * phi)
         spec = OperatorSpec.for_modes(c_ray, ALPHA_23, 5)
         for lam in eigs * turn:
-            on, off = (y[0] / yp[0] for y, yp in (_march_nodes(spec, inward=True, lam=z) for z in (lam, 1.02 * lam)))
+            on, off = (_decaying_ratio(spec, z) for z in (lam, 1.02 * lam))
             assert abs(on) < 1e-6 * abs(off), (target, lam)
 
 
@@ -689,7 +714,7 @@ def test_march_matches_sequential_magnus_chain(grid_n, inward):
     if inward:
         ys, yps = ys[::-1], yps[::-1]
     pick = np.searchsorted(nodes, xs)
-    march_y, march_yp = _march_nodes(spec, inward)
+    march_y, march_yp = _march_nodes(spec, nodes, inward)
     assert np.max(np.abs(march_y - ys[pick])) < 1e-13 * np.max(np.abs(ys))
     assert np.max(np.abs(march_yp - yps[pick])) < 1e-13 * np.max(np.abs(yps))
 
@@ -769,6 +794,25 @@ def test_an_overflowing_pair_is_refused_before_the_march():
     with pytest.raises(OverflowGuardError, match="past the double range"):
         homogeneous_pair(spec)
     assert time.perf_counter() - start < 0.1
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_the_wkb_amplitudes_refuse_an_overflowing_march_before_it_runs(monkeypatch):
+    # at c = 1e12 the growth alone (G = 680 for the pair, 686.7 for lambda_1)
+    # let both marches run, and _guard refused them after; the WKB factors at
+    # the ends add 12.1 and 5.4 e-folds.  The longest X served stays served.
+    lam = 1e12**0.75 * real_spectrum(ALPHA_23, 1)[0]
+    homogeneous_pair(OperatorSpec(1e12, ALPHA_23, 0.00521))
+    eigenfunction(OperatorSpec(1e12, ALPHA_23, 0.00549), lam)
+
+    def no_march(*args, **kwargs):
+        raise AssertionError("the march ran")
+
+    monkeypatch.setattr("wkbspec.spectrum._march_nodes", no_march)
+    with pytest.raises(OverflowGuardError, match=r"amplitude of about exp\(692\.1\)"):
+        homogeneous_pair(OperatorSpec(1e12, ALPHA_23, 0.005225))
+    with pytest.raises(OverflowGuardError, match=r"amplitude of about exp\(692\.1\)"):
+        eigenfunction(OperatorSpec(1e12, ALPHA_23, 0.00551), lam)
 
 
 # ---------------------------------------------------------------------------
